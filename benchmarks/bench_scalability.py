@@ -46,9 +46,9 @@ def plan_monolithic(system):
     return plan, planner.sag.node_count
 
 
-def plan_lazy(system):
+def plan_lazy_astar(system):
     planner = AdaptationPlanner(system.universe, system.invariants, system.actions)
-    return planner.plan_lazy(system.source, system.target)
+    return planner.lazy_plan(system.source, system.target)
 
 
 def plan_collaborative(system):
@@ -76,7 +76,7 @@ def test_collaborative_planner(benchmark, groups):
 @pytest.mark.parametrize("groups", [1, 2, 3])
 def test_lazy_astar_planner(benchmark, groups):
     system = replicated_video_system(groups)
-    plan = benchmark(lambda: plan_lazy(system))
+    plan = benchmark(lambda: plan_lazy_astar(system))
     assert plan.total_cost == 50.0 * groups
 
 

@@ -46,7 +46,7 @@ def main() -> None:
             planner = AdaptationPlanner(
                 system.universe, system.invariants, system.actions
             )
-            return planner.plan_lazy(system.source, system.target).total_cost
+            return planner.lazy_plan(system.source, system.target).total_cost
 
         def collaborative():
             planner = AdaptationPlanner(

@@ -11,10 +11,10 @@ Usage (``python -m repro <command> ...``):
   Exit code: 0 when no diagnostic at or above ``--fail-on`` remains,
   1 otherwise, 2 on usage errors (argparse).
 * ``safe-configs MANIFEST`` — enumerate the safe configuration set (Table 1).
-* ``plan MANIFEST --from SRC --to DST [--k N] [--lazy]
+* ``plan MANIFEST --from SRC --to DST [--k N]
   [--method auto|dijkstra|lazy|collaborative]`` — compute the Minimum
   Adaptation Path (Figure 4's result); ``auto`` picks the lazy frontier
-  search above the enumeration cap.
+  search above the enumeration cap (``--method lazy`` forces it).
 * ``sag MANIFEST [--highlight-map --from SRC --to DST]`` — emit Graphviz
   DOT of the Safe Adaptation Graph (Figure 4 itself).
 * ``simulate MANIFEST --from SRC --to DST [--backend sim|live|aio]
@@ -55,6 +55,7 @@ import sys
 from typing import List, Optional
 
 from repro.bench import format_table
+from repro.core.planner import PLAN_METHODS
 from repro.errors import ReproError
 from repro.manifest import load_path, video_manifest_text
 
@@ -139,15 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--k", type=int, default=1,
                       help="also list the k best alternate plans")
     plan.add_argument(
-        "--method", choices=("auto", "dijkstra", "lazy", "collaborative"),
-        default="auto",
+        "--method", choices=PLAN_METHODS, default="auto",
         help="planning algorithm (default: auto — eager Dijkstra within "
-             "the enumeration cap, lazy frontier search above it)",
-    )
-    plan.add_argument(
-        "--lazy", action="store_true",
-        help="force the lazy frontier search (never materializes the "
-             "safe space; shorthand for --method lazy)",
+             "the enumeration cap, lazy frontier search above it; lazy "
+             "never materializes the safe space)",
     )
     plan.add_argument(
         "--batch", metavar="FILE",
@@ -542,7 +538,7 @@ def cmd_plan(args, out) -> int:
         target=args.target,
         manifest=manifest_text,
         k=max(args.k, 1),
-        method="lazy" if args.lazy else args.method,
+        method=args.method,
     )
     if args.json:
         response = control.dispatch(request)

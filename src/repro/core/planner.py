@@ -8,6 +8,8 @@ The :class:`AdaptationPlanner` performs the three setup steps on demand:
    the rest of the paper needs: k-best alternates (failure handling §4.4),
    lazy A* partial exploration and collaborative-set decomposition
    (scalability, §7).
+
+:func:`plan_route` is the single rule that picks among them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.actions import ActionLibrary, AdaptiveAction
 from repro.core.collaborative import collaborative_sets, project_invariants
@@ -30,9 +32,45 @@ from repro.graphs.dijkstra import Path
 
 
 #: above this many components the eager 2^n enumeration is off the table
-#: by default — the service and CLI route requests to :meth:`lazy_plan`
+#: by default — :func:`plan_route` sends requests to :meth:`lazy_plan`
 #: (the lint pipeline applies the same cap to its safe-space checks)
 LAZY_PLAN_COMPONENTS = 24
+
+#: the planning methods every front end accepts (CLI ``--method``, the
+#: planning service, the control plane); ``auto`` routes by universe size
+PLAN_METHODS = ("auto", "dijkstra", "lazy", "collaborative")
+
+
+def plan_route(method: str, components: int, k: int = 1) -> str:
+    """The one routing rule: which planner answers a request.
+
+    Returns ``"dijkstra"``, ``"lazy"`` or ``"collaborative"``.  ``auto``
+    picks the lazy frontier search above :data:`LAZY_PLAN_COMPONENTS`
+    and eager Dijkstra at or below it; every other method routes to
+    itself.
+
+    Raises:
+        ValueError: unknown *method*, non-positive *k*, or ``k > 1``
+            above the cap (k-best alternates need the eager SAG).
+    """
+    if method not in PLAN_METHODS:
+        raise ValueError(f"method must be one of {PLAN_METHODS}, got {method!r}")
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    oversized = components > LAZY_PLAN_COMPONENTS
+    if k > 1 and oversized:
+        raise ValueError(
+            f"k-best alternates need the eager SAG, which is capped at "
+            f"{LAZY_PLAN_COMPONENTS} components (spec has {components})"
+        )
+    if method == "auto":
+        return "lazy" if oversized else "dijkstra"
+    return method
+
+
+def no_safe_path_message(source: Configuration, target: Configuration) -> str:
+    """The one message every unreachable-pair error carries (wire-pinned)."""
+    return f"no safe adaptation path from {source.label()} to {target.label()}"
 
 
 @dataclass(frozen=True)
@@ -234,9 +272,7 @@ class AdaptationPlanner:
             plan = self._plan_uncached(source, target)
             self._plan_cache[key] = plan
         if plan is None:
-            raise NoSafePathError(
-                f"no safe adaptation path from {source.label()} to {target.label()}"
-            )
+            raise NoSafePathError(no_safe_path_message(source, target))
         return plan
 
     def peek_plan(
@@ -367,11 +403,11 @@ class AdaptationPlanner:
            the bound cannot perturb the result).
 
         Phase 2 never re-pays phase 1's safety checks: both phases pull
-        adjacency from the same per-mask cache.  Results are written
-        through to the shared plan cache, so a later :meth:`plan` or
-        :meth:`peek_plan` on the pair is a warm dict hit (and vice
-        versa: a pair already planned eagerly returns here without any
-        search).
+        adjacency from the same per-mask cache, and *max_expansions* is
+        one budget shared by both.  Results are written through to the
+        shared plan cache, so a later :meth:`plan` or :meth:`peek_plan`
+        on the pair is a warm dict hit (and vice versa: a pair already
+        planned eagerly returns here without any search).
 
         Raises:
             UnsafeConfigurationError: source or target violates invariants.
@@ -382,47 +418,26 @@ class AdaptationPlanner:
         self._validate_endpoints(source, target)
         key = (source, target)
         if key in self._plan_cache:
-            cached = self._plan_cache[key]
-            if cached is None:
-                raise NoSafePathError(
-                    f"no safe adaptation path from {source.label()} "
-                    f"to {target.label()}"
-                )
-            return cached
-        universe = self.universe
-        lazy = self.lazy_sag
-        source_mask = universe.mask_of(source)
-        target_mask = universe.mask_of(target)
-        heuristic = self._mask_heuristic(target_mask)
-        probe = lazy_astar(
-            source_mask, target_mask, lazy.successors, heuristic, max_expansions
-        )
-        if probe is None:
-            if max_expansions is not None:
-                raise NoSafePathError(
-                    f"no safe adaptation path from {source.label()} to "
-                    f"{target.label()} within {max_expansions} expansions"
-                )
-            self._plan_cache[key] = None
-            raise NoSafePathError(
-                f"no safe adaptation path from {source.label()} "
-                f"to {target.label()}"
+            plan = self._plan_cache[key]
+        else:
+            target_mask = self.universe.mask_of(target)
+            path, exhausted, _ = self._lazy_banned_shortest(
+                self.universe.mask_of(source), target_mask,
+                frozenset(), frozenset(),
+                self._mask_heuristic(target_mask), max_expansions,
             )
-        exact = lazy_astar(
-            source_mask,
-            target_mask,
-            lazy.successors,
-            lambda mask: 0.0,
-            max_expansions,
-            cost_bound=probe.cost,
-        )
-        if exact is None:  # only reachable with an expansion budget set
-            raise NoSafePathError(
-                f"no safe adaptation path from {source.label()} to "
-                f"{target.label()} within {max_expansions} expansions"
+            if exhausted:
+                raise NoSafePathError(
+                    f"{no_safe_path_message(source, target)} "
+                    f"within {max_expansions} expansions"
+                )
+            plan = (
+                None if path is None
+                else self._plan_from_mask_path(source, target, path)
             )
-        plan = self._plan_from_mask_path(source, target, exact)
-        self._plan_cache[key] = plan
+            self._plan_cache[key] = plan
+        if plan is None:
+            raise NoSafePathError(no_safe_path_message(source, target))
         return plan
 
     def _mask_heuristic(self, target_mask: int):
@@ -594,117 +609,13 @@ class AdaptationPlanner:
         self._plan_cache.setdefault((source, target), plans[0])
         return plans, complete
 
-    def plan_lazy(
-        self,
-        source: Configuration,
-        target: Configuration,
-        max_expansions: Optional[int] = None,
-    ) -> AdaptationPlan:
-        """MAP by A* partial exploration — never materializes the SAG (§7).
-
-        Expands safe configurations on demand from the action library; the
-        admissible heuristic is ``ceil(|Δ| / max_flip) * min_cost`` where Δ
-        is the symmetric difference to the target, ``max_flip`` the largest
-        number of components any single action changes, and ``min_cost``
-        the cheapest action cost.
-        """
-        self._validate_endpoints(source, target)
-        actions = tuple(self.actions)
-        if not actions:
-            if source == target:
-                return AdaptationPlan(source, target, (), 0.0)
-            raise NoSafePathError("no adaptive actions available")
-        max_flip = max(len(a.touched) for a in actions)
-        min_cost = min(a.cost for a in actions)
-        masked = self.actions.compiled_for(self.universe)
-        if all(m is not None for m in masked):
-            return self._plan_lazy_masked(
-                source, target, actions, masked, max_flip, min_cost, max_expansions
-            )
-
-        # Some action touches components outside the universe: such an
-        # action can route through configurations that have no bit
-        # encoding, so the search stays on the frozenset representation.
-        def heuristic(config: Configuration) -> float:
-            delta = len(config.symmetric_difference(target))
-            if delta == 0:
-                return 0.0
-            return math.ceil(delta / max_flip) * min_cost
-
-        def successors(config: Configuration):
-            for action in actions:
-                if action.is_applicable(config):
-                    result = action.apply(config)
-                    if self.space.is_safe(result):
-                        yield action.action_id, action.cost, result
-
-        path = lazy_astar(source, target, successors, heuristic, max_expansions)
-        if path is None:
-            raise NoSafePathError(
-                f"no safe adaptation path from {source.label()} to {target.label()}"
-            )
-        return self._plan_from_path(path)
-
-    def _plan_lazy_masked(
-        self,
-        source: Configuration,
-        target: Configuration,
-        actions: Tuple[AdaptiveAction, ...],
-        masked: Sequence,
-        max_flip: int,
-        min_cost: float,
-        max_expansions: Optional[int],
-    ) -> AdaptationPlan:
-        """Lazy A* over integer masks — the bitmask fast path.
-
-        Node identity, successor order, and heap tie-breaking are
-        bijective with the frozenset search, so the returned plan is
-        identical; only the per-expansion cost drops from set algebra to
-        a few int ops against the shared safety memo.
-        """
-        universe = self.universe
-        source_mask = universe.mask_of(source)
-        target_mask = universe.mask_of(target)
-        are_safe_masks = self.space.are_safe_masks
-        pairs = tuple(zip(actions, masked))
-
-        def heuristic(mask: int) -> float:
-            delta = (mask ^ target_mask).bit_count()
-            if delta == 0:
-                return 0.0
-            return math.ceil(delta / max_flip) * min_cost
-
-        def successors(mask: int):
-            # applicability first, then one batched safety query per
-            # expansion — verdicts and yield order match the pointwise
-            # loop exactly
-            candidates = []
-            for action, m in pairs:
-                required = m.required
-                if (mask & required) == required and not (mask & m.forbidden):
-                    result = (mask & ~m.clear) | m.set_bits
-                    candidates.append((action.action_id, action.cost, result))
-            for candidate, safe in zip(
-                candidates,
-                are_safe_masks([candidate[2] for candidate in candidates]),
-            ):
-                if safe:
-                    yield candidate
-
-        path = lazy_astar(source_mask, target_mask, successors, heuristic, max_expansions)
-        if path is None:
-            raise NoSafePathError(
-                f"no safe adaptation path from {source.label()} to {target.label()}"
-            )
-        return self._plan_from_mask_path(source, target, path)
-
     def plan_collaborative(
         self, source: Configuration, target: Configuration
     ) -> AdaptationPlan:
         """Plan per collaborative set and concatenate (§7 decomposition).
 
         Each collaborative set is planned in its own sub-universe with the
-        invariants and actions that fall inside it, using lazy A*; the
+        invariants and actions that fall inside it, using :meth:`lazy_plan`; the
         per-set plans are then replayed in order against the global
         configuration.  Exact when the decomposition is valid (invariants
         and actions never span sets — guaranteed by construction).
@@ -731,7 +642,7 @@ class AdaptationPlanner:
                 project_invariants(self.invariants, group),
                 self.actions.restricted_to(group),
             )
-            sub_plan = sub_planner.plan_lazy(group_source, group_target)
+            sub_plan = sub_planner.lazy_plan(group_source, group_target)
             for step in sub_plan.steps:
                 next_config = step.action.apply(current)
                 steps.append(

@@ -9,12 +9,11 @@ is that action's cost.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.actions import ActionLibrary, AdaptiveAction
 from repro.core.model import Configuration
 from repro.core.space import SafeConfigurationSpace
-from repro.errors import UnknownComponentError
 from repro.graphs import CSRGraph, Digraph
 
 
@@ -129,38 +128,25 @@ class SafeAdaptationGraph:
         cls,
         space: SafeConfigurationSpace,
         actions: ActionLibrary,
-        restrict_to: Optional[Iterable[Configuration]] = None,
     ) -> "SafeAdaptationGraph":
-        """Materialize the SAG.
+        """Materialize the SAG over the full safe set ``space.enumerate()``.
 
         Args:
             space: the safe-configuration space (provides vertices and the
                 safety test for action results).
             actions: the available adaptive actions (provide the arcs).
-            restrict_to: optional vertex subset; defaults to the full safe
-                set ``space.enumerate()``.
         """
-        if restrict_to is None:
-            vertices: Tuple[Configuration, ...] = space.enumerate()
-        else:
-            vertices = tuple(restrict_to)
+        vertices = space.enumerate()
         graph: Digraph = Digraph()
         for config in vertices:
             graph.add_node(config)
         universe = space.universe
-        try:
-            vertex_masks = [universe.mask_of(config) for config in vertices]
-        except UnknownComponentError:
-            # Vertices outside the universe (caller-supplied restrict_to)
-            # have no bit encoding; keep the set-based build for them.
-            cls._build_arcs_setwise(graph, vertices, actions)
-            return cls(graph, actions)
-        # Bitmask fast path: the O(|V|·|A|) loop runs on precompiled
-        # integer masks — applicability, application, and the target
-        # lookup are each a couple of int ops.  Actions touching
-        # components outside the universe can never connect two vertices
-        # (their result always leaves the universe), so they are skipped,
-        # exactly as the set-based build would skip them.
+        vertex_masks = [universe.mask_of(config) for config in vertices]
+        # The O(|V|·|A|) loop runs on precompiled integer masks —
+        # applicability, application, and the target lookup are each a
+        # couple of int ops.  Actions touching components outside the
+        # universe can never connect two vertices (their result always
+        # leaves the universe), so they are skipped.
         config_by_mask = dict(zip(vertex_masks, vertices))
         masked_actions = [
             (masked, action)
@@ -177,22 +163,6 @@ class SafeAdaptationGraph:
                     if target is not None:
                         add_edge(config, target, action.action_id, action.cost)
         return cls(graph, actions)
-
-    @staticmethod
-    def _build_arcs_setwise(
-        graph: Digraph,
-        vertices: Tuple[Configuration, ...],
-        actions: ActionLibrary,
-    ) -> None:
-        """Reference arc construction over frozensets (fallback path)."""
-        vertex_set = set(vertices)
-        for config in vertices:
-            for action in actions:
-                if not action.is_applicable(config):
-                    continue
-                result = action.apply(config)
-                if result in vertex_set:
-                    graph.add_edge(config, result, action.action_id, action.cost)
 
     # -- structure -------------------------------------------------------------
     @property

@@ -49,6 +49,7 @@ from repro.core.actions import AdaptiveAction, MaskedAction
 from repro.core.analysis import blast_radius, invariants_at_risk
 from repro.core.invariants import Invariant, InvariantSet
 from repro.core.model import Component, ComponentUniverse, Configuration
+from repro.core.planner import LAZY_PLAN_COMPONENTS
 from repro.errors import ActionError, ParseError
 from repro.expr.ast import Expr
 from repro.expr.compile import compile_conjunction
@@ -68,11 +69,11 @@ from repro.span import Span
 #: Enumerating a truth table is capped at this many variable bits —
 #: beyond it the check is skipped (recorded in ``report.skipped``).
 MAX_SAT_ATOMS = 16
-#: Default cap on safe-space enumeration (SA3xx).  Overridable per run
-#: (``max_enum_components=``); a skip now emits an explicit SA307 note
-#: besides the ``report.skipped`` line.  Raised from 22 since the
-#: enumeration can run on a process pool (``workers=``).
-MAX_ENUM_COMPONENTS = 24
+#: Default cap on safe-space enumeration (SA3xx) — the planner's own
+#: eager/lazy threshold, so lint and planning agree on what is too big to
+#: enumerate.  Overridable per run (``max_enum_components=``); a skip
+#: emits an explicit SA307 note besides the ``report.skipped`` line.
+MAX_ENUM_COMPONENTS = LAZY_PLAN_COMPONENTS
 
 
 @dataclass

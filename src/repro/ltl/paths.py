@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.planner import (
-    LAZY_PLAN_COMPONENTS,
     AdaptationPlan,
     AdaptationPlanner,
+    plan_route,
 )
 from repro.ltl.ast import PFormula
 from repro.ltl.compile import CompiledProperty
@@ -147,7 +147,9 @@ def verify_paths(
     if compiled is None:
         compiled = CompiledProperty(phi, planner.universe.atom_bits)
     use_lazy = (
-        len(planner.universe) > LAZY_PLAN_COMPONENTS if lazy is None else lazy
+        plan_route("auto", len(planner.universe)) == "lazy"
+        if lazy is None
+        else lazy
     )
     mode = "lazy" if use_lazy else "eager"
     if use_lazy:

@@ -17,6 +17,7 @@ Layered sans-io design:
 exactly as it did when this package was a single module.
 """
 
+from repro.core.planner import PLAN_METHODS
 from repro.serve.api import (
     ERROR_CODES,
     ErrorEnvelope,
@@ -59,7 +60,6 @@ from repro.serve.http import (
 )
 from repro.serve.registry import SpecRecord, SpecRegistry
 from repro.serve.service import (
-    PLAN_METHODS,
     PlanningService,
     ServiceStats,
     no_safe_path_message,

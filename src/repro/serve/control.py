@@ -32,7 +32,7 @@ import json
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.model import Configuration
-from repro.core.planner import AdaptationPlan
+from repro.core.planner import AdaptationPlan, plan_route
 from repro.errors import (
     NoSafePathError,
     ParseError,
@@ -67,7 +67,7 @@ from repro.serve.api import (
     VerifyPathsResult,
 )
 from repro.serve.registry import SpecRecord, SpecRegistry
-from repro.serve.service import PLAN_METHODS, PlanningService
+from repro.serve.service import PlanningService
 
 
 class _Fail(Exception):
@@ -274,11 +274,6 @@ class ControlPlane:
         except ReproError as exc:
             raise _fail("unknown-configuration", str(exc)) from exc
 
-    def _oversized(self, record: SpecRecord) -> Tuple[bool, Optional[int], int]:
-        cap = self.service.lazy_components
-        n = len(record.manifest.universe)
-        return (cap is not None and n > cap), cap, n
-
     # -- handlers ----------------------------------------------------------------
     def _handle_register(self, request: RegisterSpecRequest) -> Response:
         record, created = self.registry.register(request.manifest)
@@ -300,28 +295,13 @@ class ControlPlane:
         )
 
     def _handle_plan(self, request: PlanRequest) -> Response:
-        if request.method not in PLAN_METHODS:
-            raise _fail(
-                "bad-request",
-                f"method must be one of {PLAN_METHODS}, "
-                f"got {request.method!r}",
-            )
-        if request.k < 1:
-            raise _fail("bad-request", f"k must be positive, got {request.k}")
         record = self._resolve_spec(request.spec, request.manifest)
+        # route (and reject bad method/k) before any planning work
+        method = plan_route(
+            request.method, len(record.manifest.universe), request.k
+        )
         source = self._resolve_config(record, request.source)
         target = self._resolve_config(record, request.target)
-        oversized, cap, n = self._oversized(record)
-        method = request.method
-        if method == "auto":
-            # above the cap the eager 2^n pipeline is off the table
-            method = "lazy" if oversized else "dijkstra"
-        if request.k > 1 and oversized:
-            raise _fail(
-                "bad-request",
-                f"k-best alternates need the eager SAG, which is capped "
-                f"at {cap} components (spec has {n})",
-            )
         plan = self.service.plan_digest(
             record.digest, source, target, method=method
         )

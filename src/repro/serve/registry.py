@@ -95,7 +95,8 @@ class SpecRegistry:
         """
         manifest = loads(text)
         digest = self.service.register(
-            manifest.universe, manifest.invariants, manifest.actions
+            manifest.universe, manifest.invariants, manifest.actions,
+            manifest.conflicts,
         )
         with self._lock:
             record = self._records.get(digest)

@@ -43,9 +43,10 @@ from repro.core.actions import ActionLibrary
 from repro.core.invariants import InvariantSet
 from repro.core.model import ComponentUniverse, Configuration
 from repro.core.planner import (
-    LAZY_PLAN_COMPONENTS,
     AdaptationPlan,
     AdaptationPlanner,
+    no_safe_path_message,
+    plan_route,
 )
 from repro.errors import NoSafePathError
 from repro.expr.ast import to_text
@@ -59,16 +60,20 @@ def spec_digest(
     universe: ComponentUniverse,
     invariants: InvariantSet,
     actions: ActionLibrary,
+    conflicts: Tuple[Tuple[str, str], ...] = (),
 ) -> str:
-    """Content hash of a compiled ``(S, I, A)`` spec.
+    """Content hash of a compiled ``(S, I, A)`` spec plus its conflicts.
 
     Canonical JSON over declaration-ordered primitives: component
     ``(name, process)`` pairs, invariant source texts, and action deltas.
     Declaration order is semantic (it fixes bit positions and tie-breaks),
     so it is part of the key — two specs differing only in component
     order plan over different bit encodings and must not share caches.
+    Declared racing pairs (manifest ``[conflicts]``) change collaborative
+    plans, so they are hashed too — only when present, which keeps the
+    digest of every conflict-free spec unchanged.
     """
-    doc = {
+    doc: Dict[str, object] = {
         "components": [
             (name, universe.component(name).process) for name in universe.order
         ],
@@ -83,15 +88,10 @@ def spec_digest(
             for action in actions
         ],
     }
+    if conflicts:
+        doc["conflicts"] = [list(pair) for pair in conflicts]
     blob = json.dumps(doc, separators=(",", ":"), sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def no_safe_path_message(source: Configuration, target: Configuration) -> str:
-    """The one message every unreachable-pair error carries (wire-pinned)."""
-    return (
-        f"no safe adaptation path from {source.label()} to {target.label()}"
-    )
 
 
 @dataclass
@@ -118,11 +118,6 @@ class ServiceStats:
             "verify_hits": self.verify_hits,
             "evictions": self.evictions,
         }
-
-
-#: methods :meth:`PlanningService.plan_digest` understands; ``auto`` routes
-#: by universe size exactly as the in-process service always has
-PLAN_METHODS = ("auto", "dijkstra", "lazy", "collaborative")
 
 
 class _SpecEntry:
@@ -176,24 +171,22 @@ class PlanningService:
             :class:`~repro.core.space.SafeConfigurationSpace` for parallel
             safe-space enumeration.
         spt_cache_size: per-planner bound on cached shortest-path trees.
-        lazy_components: specs with more components than this are planned
-            through :meth:`AdaptationPlanner.lazy_plan` — the frontier
-            search that never materializes the safe space or the SAG —
-            instead of the eager CSR pipeline.  ``None`` disables the
-            routing (every spec plans eagerly, 2^n be damned).  Lazy
-            results land in the same per-pair plan cache, so warm reads
-            stay lock-free regardless of which path planned the pair.
+
+    Requests are routed by :func:`~repro.core.planner.plan_route`:
+    oversized specs are planned through
+    :meth:`AdaptationPlanner.lazy_plan` — the frontier search that never
+    materializes the safe space or the SAG — instead of the eager CSR
+    pipeline.  Lazy results land in the same per-pair plan cache, so warm
+    reads stay lock-free regardless of which path planned the pair.
     """
 
     def __init__(
         self,
         workers: Optional[int] = None,
         spt_cache_size: int = AdaptationPlanner.SPT_CACHE_SIZE,
-        lazy_components: Optional[int] = LAZY_PLAN_COMPONENTS,
     ):
         self.workers = workers
         self.spt_cache_size = spt_cache_size
-        self.lazy_components = lazy_components
         self._registry_lock = threading.Lock()
         self._specs: Dict[str, _SpecEntry] = {}
         self._evictions = 0
@@ -204,6 +197,7 @@ class PlanningService:
         universe: ComponentUniverse,
         invariants: InvariantSet,
         actions: ActionLibrary,
+        conflicts: Tuple[Tuple[str, str], ...] = (),
     ) -> str:
         """Ensure a spec entry exists; returns its content digest.
 
@@ -212,8 +206,8 @@ class PlanningService:
         request through the ``*_digest`` methods, skipping the per-call
         spec hashing the object-keyed methods pay.
         """
-        digest = spec_digest(universe, invariants, actions)
-        self._ensure_entry(digest, universe, invariants, actions)
+        digest = spec_digest(universe, invariants, actions, conflicts)
+        self._ensure_entry(digest, universe, invariants, actions, conflicts)
         return digest
 
     def has_spec(self, digest: str) -> bool:
@@ -237,6 +231,7 @@ class PlanningService:
         universe: ComponentUniverse,
         invariants: InvariantSet,
         actions: ActionLibrary,
+        conflicts: Tuple[Tuple[str, str], ...] = (),
     ) -> _SpecEntry:
         entry = self._specs.get(digest)  # lock-free fast path (dict read)
         if entry is not None:
@@ -251,6 +246,7 @@ class PlanningService:
                         actions,
                         workers=self.workers,
                         spt_cache_size=self.spt_cache_size,
+                        conflicts=conflicts,
                     )
                 )
                 self._specs[digest] = entry
@@ -320,13 +316,11 @@ class PlanningService:
         """:meth:`plan` addressed by digest (``KeyError`` when unknown).
 
         *method* ``auto`` routes by universe size; ``dijkstra``, ``lazy``,
-        and ``collaborative`` force the respective planner entry point
-        (all land in the shared per-pair plan cache).
+        and ``collaborative`` force the respective planner entry point.
+        Dijkstra and lazy plans land in the shared per-pair plan cache;
+        collaborative plans are recomputed on every cold request (a warm
+        pair already in the cache is still answered from it).
         """
-        if method not in PLAN_METHODS:
-            raise ValueError(
-                f"method must be one of {PLAN_METHODS}, got {method!r}"
-            )
         return self._plan_entry(self._entry(digest), source, target, method)
 
     def _plan_entry(
@@ -336,6 +330,7 @@ class PlanningService:
         target: Configuration,
         method: str = "auto",
     ) -> AdaptationPlan:
+        route = plan_route(method, len(entry.planner.universe))
         hit, plan = entry.planner.peek_plan(source, target)
         if hit:
             entry.count("warm_hits")
@@ -353,13 +348,11 @@ class PlanningService:
                 if plan is None:
                     raise NoSafePathError(no_safe_path_message(source, target))
                 return plan
-            if method == "lazy" or (
-                method == "auto" and self._oversized(entry.planner.universe)
-            ):
+            if route == "lazy":
                 entry.count("lazy_plans")
                 return entry.planner.lazy_plan(source, target)
             entry.count("cold_plans")
-            if method == "collaborative":
+            if route == "collaborative":
                 return entry.planner.plan_collaborative(source, target)
             return entry.planner.plan(source, target)
 
@@ -376,13 +369,6 @@ class PlanningService:
             return False
         entry.count("warm_hits")
         return True
-
-    def _oversized(self, universe: ComponentUniverse) -> bool:
-        """True when the spec must be routed to the lazy frontier path."""
-        return (
-            self.lazy_components is not None
-            and len(universe) > self.lazy_components
-        )
 
     def plan_many(
         self,
@@ -415,7 +401,7 @@ class PlanningService:
         pairs: Sequence[Tuple[Configuration, Configuration]],
     ) -> List[Optional[AdaptationPlan]]:
         with entry.lock:
-            if self._oversized(entry.planner.universe):
+            if plan_route("auto", len(entry.planner.universe)) == "lazy":
                 entry.count("lazy_plans", len(pairs))
                 results: List[Optional[AdaptationPlan]] = []
                 for source, target in pairs:
@@ -437,16 +423,11 @@ class PlanningService:
         """The k best alternates for a pair, by digest.
 
         Eager-only (the k-shortest enumeration needs the materialized
-        SAG): oversized specs raise :class:`ValueError` carrying the
-        explanation the CLI shows.
+        SAG): :func:`~repro.core.planner.plan_route` rejects oversized
+        specs with the :class:`ValueError` the CLI shows.
         """
         entry = self._entry(digest)
-        if self._oversized(entry.planner.universe):
-            raise ValueError(
-                f"k-best alternates need the eager SAG, which is capped at "
-                f"{self.lazy_components} components "
-                f"(spec has {len(entry.planner.universe)})"
-            )
+        plan_route("auto", len(entry.planner.universe), k)
         with entry.lock:
             return list(entry.planner.plan_k(source, target, k))
 
@@ -541,8 +522,6 @@ class PlanningService:
         lazy: Optional[bool],
     ) -> PathVerdict:
         compiled = self._compiled_property(entry, phi)
-        if lazy is None:
-            lazy = self._oversized(entry.planner.universe)
         with entry.lock:
             return _verify_paths(
                 entry.planner,

@@ -93,10 +93,10 @@ class TestPlanK:
 
 class TestLazyPlanner:
     def test_same_optimal_cost_as_dijkstra(self, planner, source, target):
-        assert planner.plan_lazy(source, target).total_cost == 50.0
+        assert planner.lazy_plan(source, target).total_cost == 50.0
 
     def test_valid_step_chain(self, planner, source, target):
-        plan = planner.plan_lazy(source, target)
+        plan = planner.lazy_plan(source, target)
         config = source
         for step in plan.steps:
             config = step.action.apply(config)
@@ -105,11 +105,13 @@ class TestLazyPlanner:
 
     def test_no_path_raises(self, planner, source, target):
         with pytest.raises(NoSafePathError):
-            planner.plan_lazy(target, source)
+            planner.lazy_plan(target, source)
 
     def test_expansion_budget_exhaustion_raises(self, planner, source, target):
-        with pytest.raises(NoSafePathError):
-            planner.plan_lazy(source, target, max_expansions=1)
+        with pytest.raises(NoSafePathError, match="within 1 expansions"):
+            planner.lazy_plan(source, target, max_expansions=1)
+        # exhaustion is not cached as unreachable: the pair still plans
+        assert planner.lazy_plan(source, target).total_cost == 50.0
 
 
 class TestPlanRendering:

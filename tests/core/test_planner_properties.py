@@ -37,18 +37,29 @@ def test_plans_are_valid_when_they_exist(seed):
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=30, deadline=None)
 def test_lazy_astar_matches_dijkstra_cost(seed):
+    """Lazy A* returns the eager plan itself (cost and tie-break), and the
+    collaborative decomposition reaches the same optimal cost."""
     system = random_system(seed)
-    planner = AdaptationPlanner(system.universe, system.invariants, system.actions)
-    eager = try_plan(planner, system.source, system.target)
+
+    def fresh():  # one planner per method: lazy_plan reads the plan cache
+        return AdaptationPlanner(system.universe, system.invariants, system.actions)
+
+    eager = try_plan(fresh(), system.source, system.target)
     try:
-        lazy = planner.plan_lazy(system.source, system.target)
+        lazy = fresh().lazy_plan(system.source, system.target)
     except (NoSafePathError, UnsafeConfigurationError):
         lazy = None
+    try:
+        collaborative = fresh().plan_collaborative(system.source, system.target)
+    except (NoSafePathError, UnsafeConfigurationError):
+        collaborative = None
     if eager is None:
-        assert lazy is None
+        assert lazy is None and collaborative is None
     else:
-        assert lazy is not None
+        assert lazy is not None and collaborative is not None
         assert lazy.total_cost == pytest.approx(eager.total_cost)
+        assert lazy.action_ids == eager.action_ids
+        assert collaborative.total_cost == pytest.approx(eager.total_cost)
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=4))

@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.core.sag import SafeAdaptationGraph
-
 
 @pytest.fixture
 def sag(planner):
@@ -88,11 +86,12 @@ class TestQueries:
             universe.from_bits("1010010"), universe.from_bits("0100101")
         )
 
-    def test_build_with_restricted_vertices(self, planner, universe):
-        subset = [universe.from_bits("0100101"), universe.from_bits("0101001")]
-        sag = SafeAdaptationGraph.build(planner.space, planner.actions, subset)
-        assert sag.node_count == 2
-        assert sag.edge_count == 1  # only A2 connects them
+    def test_build_with_restricted_vertices(self, sag, universe):
+        subset = {universe.from_bits("0100101"), universe.from_bits("0101001")}
+        others = [config for config in sag.graph.nodes() if config not in subset]
+        induced = sag.graph.subgraph_without(removed_nodes=others)
+        assert induced.node_count == 2
+        assert induced.edge_count == 1  # only A2 connects them
 
 
 class TestDotExport:

@@ -3,7 +3,10 @@
 import io
 import json
 
+import pytest
+
 from repro.cli import main
+from repro.core.planner import LAZY_PLAN_COMPONENTS, PLAN_METHODS, plan_route
 from repro.manifest import loads
 from repro.serve import (
     ControlPlane,
@@ -157,6 +160,131 @@ class TestPlan:
         )
         assert result.code == "internal"
         assert result.message == "RuntimeError: boom"
+
+
+#: two independent components whose add actions are declared racing: the
+#: conflict pulls them into one collaborative set, which reorders the plan
+CONFLICTED_MANIFEST = """\
+[components]
+A @ p
+B @ q
+
+[actions]
+add_b : +B @ 1
+add_a : +A @ 1
+
+[configurations]
+empty =
+both = A, B
+"""
+CONFLICTS_SECTION = """
+[conflicts]
+add_a add_b
+"""
+
+
+class TestConflicts:
+    def test_served_collaborative_plan_honors_conflicts(self):
+        text = CONFLICTED_MANIFEST + CONFLICTS_SECTION
+        manifest = loads(text)
+        direct = manifest.planner().plan_collaborative(
+            manifest.resolve_configuration("empty"),
+            manifest.resolve_configuration("both"),
+        )
+        served = ControlPlane().dispatch(
+            PlanRequest(source="empty", target="both", manifest=text,
+                        method="collaborative")
+        )
+        assert direct.action_ids == ("add_b", "add_a")
+        assert tuple(step.action for step in served.plan.steps) == (
+            direct.action_ids
+        )
+
+    def test_conflicts_are_part_of_the_spec_digest(self):
+        control = ControlPlane()
+        plain = control.dispatch(
+            RegisterSpecRequest(manifest=CONFLICTED_MANIFEST)
+        ).digest
+        conflicted = control.dispatch(
+            RegisterSpecRequest(manifest=CONFLICTED_MANIFEST + CONFLICTS_SECTION)
+        ).digest
+        assert plain != conflicted
+        # a conflict-free spec keeps its conflict-free digest
+        manifest = loads(CONFLICTED_MANIFEST)
+        assert plain == spec_digest(
+            manifest.universe, manifest.invariants, manifest.actions
+        )
+
+
+def _pinned_manifest(components: int) -> str:
+    """C0..C{n-1}, every one but C0/C1 pinned present: a universe above
+    the lazy cap whose safe space is still two configurations, so even a
+    forced eager plan stays cheap."""
+    pinned = [f"C{i}" for i in range(2, components)]
+    return "\n".join(
+        ["[components]"]
+        + [f"C{i} @ p{i % 3}" for i in range(components)]
+        + ["", "[invariants]", ": C0 | C1"]
+        + [f": {name}" for name in pinned]
+        + ["", "[actions]", "swap : C0 -> C1 @ 5", "back : C1 -> C0 @ 7"]
+        + ["", "[configurations]",
+           "source = " + ", ".join(["C0"] + pinned),
+           "target = " + ", ".join(["C1"] + pinned)]
+    ) + "\n"
+
+
+class TestRouteTable:
+    """Every method x {within, above the cap} x k: one routing rule."""
+
+    ROUTES = {
+        # method: (route within the cap, route above it)
+        "auto": ("dijkstra", "lazy"),
+        "dijkstra": ("dijkstra", "dijkstra"),
+        "lazy": ("lazy", "lazy"),
+        "collaborative": ("collaborative", "collaborative"),
+    }
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("oversized", [False, True])
+    @pytest.mark.parametrize("method", sorted(ROUTES))
+    def test_route(self, tmp_path, video_text, method, oversized, k):
+        text = _pinned_manifest(LAZY_PLAN_COMPONENTS + 1) if oversized else video_text
+        path = tmp_path / "spec.manifest"
+        path.write_text(text, encoding="utf-8")
+        response = ControlPlane().dispatch(
+            PlanRequest(source="source", target="target", manifest=text,
+                        method=method, k=k)
+        )
+        if oversized and k > 1:
+            assert isinstance(response, ErrorEnvelope)
+            assert response.code == "bad-request"
+            assert response.message == (
+                "k-best alternates need the eager SAG, which is capped at "
+                f"{LAZY_PLAN_COMPONENTS} components "
+                f"(spec has {LAZY_PLAN_COMPONENTS + 1})"
+            )
+        else:
+            assert response.method == self.ROUTES[method][oversized]
+            assert response.method == plan_route(
+                method, len(loads(text).universe), k
+            )
+            assert len(response.alternates) == (k if k > 1 else 0)
+        code, output = run_cli(
+            "plan", str(path), "--from", "source", "--to", "target",
+            "--method", method, "--k", str(k), "--json",
+        )
+        assert code == (2 if isinstance(response, ErrorEnvelope) else 0)
+        assert output == to_json(response) + "\n"
+
+    def test_unknown_method_is_a_bad_request(self, video_text):
+        assert set(self.ROUTES) == set(PLAN_METHODS)
+        response = ControlPlane().dispatch(
+            PlanRequest(source="source", target="target", manifest=video_text,
+                        method="magic")
+        )
+        assert response.code == "bad-request"
+        with pytest.raises(ValueError, match="method must be one of"):
+            plan_route("magic", 7)
 
 
 class TestPlanBatch:

@@ -357,7 +357,7 @@ class TestExampleManifest:
 
 
 class TestLazyPlanCLI:
-    """--lazy / --method and the automatic routing above the lazy cap."""
+    """--method lazy and the automatic routing above the lazy cap."""
 
     @pytest.fixture
     def fleet_path(self):
@@ -367,7 +367,8 @@ class TestLazyPlanCLI:
 
     def test_lazy_flag_matches_dijkstra(self, manifest_path):
         code, lazy_out = run_cli(
-            "plan", manifest_path, "--from", "source", "--to", "target", "--lazy"
+            "plan", manifest_path, "--from", "source", "--to", "target",
+            "--method", "lazy",
         )
         assert code == 0
         _, eager_out = run_cli(
@@ -401,7 +402,8 @@ class TestLazyPlanCLI:
     def test_lazy_reports_unreachable(self, manifest_path, capsys):
         # the one-way video SAG: target cannot reach source
         code, _ = run_cli(
-            "plan", manifest_path, "--from", "target", "--to", "source", "--lazy"
+            "plan", manifest_path, "--from", "target", "--to", "source",
+            "--method", "lazy",
         )
         assert code == 2
         assert "no safe adaptation path" in capsys.readouterr().err

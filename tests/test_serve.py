@@ -229,18 +229,12 @@ class TestLazyRouting:
 
     def test_threshold_is_configurable(self, video_spec):
         universe, invariants, actions = video_spec
-        service = PlanningService(lazy_components=3)  # 7-component spec is "big"
+        service = PlanningService()
+        digest = service.register(universe, invariants, actions)
         source, target = paper_source(universe), paper_target(universe)
-        plan = service.plan(universe, invariants, actions, source, target)
+        plan = service.plan_digest(digest, source, target, method="lazy")
         assert plan.total_cost == 50.0
         assert service.stats().lazy_plans == 1
-
-    def test_lazy_routing_disabled_with_none(self, video_spec):
-        universe, invariants, actions = video_spec
-        service = PlanningService(lazy_components=None)
-        source, target = paper_source(universe), paper_target(universe)
-        service.plan(universe, invariants, actions, source, target)
-        assert service.stats().lazy_plans == 0
 
 
 class TestTemporalVerification:
