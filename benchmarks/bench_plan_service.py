@@ -4,7 +4,7 @@ The ROADMAP north star is serving heavy adaptation-request traffic: many
 ``(source, target)`` MAP queries against one compiled ``(S, I, T, A)``
 spec.  The seed regime pays for the safe space, the SAG, and a full
 Dijkstra on *every* request; the :class:`repro.serve.PlanningService`
-amortizes all three — one spec entry shares the space + SAG + CSR view,
+amortizes all three — one registered spec shares the space + SAG + CSR view,
 and batched :meth:`~repro.core.planner.AdaptationPlanner.plan_many`
 answers every request sharing a source off one shortest-path tree.
 
@@ -12,8 +12,9 @@ Rows recorded into ``BENCH_plan_service.json`` (plans/sec):
 
 * ``baseline`` — a fresh ``AdaptationPlanner`` per request (the seed
   regime), timed on a sample and reported per-request;
-* ``service_cold`` — first batch through an empty service (pays the one
-  space + SAG build plus one SPT per distinct source);
+* ``service_cold`` — registering the manifest text, then the first batch
+  (pays parsing and the spec digest, the one space + SAG build, and one
+  SPT per distinct source);
 * ``service_warm`` — a second batch of *new* pairs over the same sources
   (SPT cache hits, paths extracted in O(path length));
 * ``service_repeat`` — the first batch again (pure plan-cache hits).
@@ -30,7 +31,8 @@ from pathlib import Path
 from benchmarks.conftest import report
 from repro.bench import format_table, replicated_video_system
 from repro.core.planner import AdaptationPlanner
-from repro.serve import PlanningService
+from repro.manifest import loads
+from repro.serve import PlanningService, SpecRegistry
 
 PLAN_SERVICE_JSON = Path(__file__).with_name("BENCH_plan_service.json")
 
@@ -70,7 +72,8 @@ def _fresh_planner_plan(system, source, target):
 
 
 def test_plan_service_throughput(benchmark):
-    system = replicated_video_system(3)
+    text = replicated_video_system(3).manifest_text()
+    system = loads(text)
     batch1, batch2 = _request_batches(system)
 
     # baseline: fresh planner per request, sampled (each sample pays the
@@ -83,21 +86,24 @@ def test_plan_service_throughput(benchmark):
     baseline_s = (time.perf_counter() - t0) / BASELINE_SAMPLE
     baseline_rate = 1.0 / baseline_s
 
-    service = PlanningService()
-    spec = (system.universe, system.invariants, system.actions)
+    service = PlanningService(SpecRegistry())
 
     t0 = time.perf_counter()
-    cold_plans = service.plan_many(*spec, batch1)
+    record, _ = service.registry.register(text)
+    cold_plans = service.plan_many_digest(record, batch1)
     cold_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    warm_plans = service.plan_many(*spec, batch2)
+    warm_plans = service.plan_many_digest(record, batch2)
     warm_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    repeat_plans = service.plan_many(*spec, batch1)
+    repeat_plans = service.plan_many_digest(record, batch1)
     repeat_s = time.perf_counter() - t0
-    benchmark.pedantic(lambda: service.plan_many(*spec, batch1), rounds=1, iterations=1)
+    benchmark.pedantic(
+        lambda: service.plan_many_digest(record, batch1),
+        rounds=1, iterations=1,
+    )
 
     # identical answers before any speed claim
     assert repeat_plans == cold_plans
@@ -138,8 +144,7 @@ def test_plan_service_throughput(benchmark):
         throughput=(len(batch2), warm_s),
     )
     benchmark.extra_info["speedup_warm_vs_baseline"] = speedup_warm
-    stats = service.stats()
-    assert stats.specs == 1  # one spec entry served every batch
+    assert service.stats()["specs"] == 1  # one spec served every batch
     assert warm_plans is not None
     assert speedup_warm >= 5.0, (
         f"warm batched throughput only {speedup_warm:.1f}x over baseline"
@@ -147,22 +152,22 @@ def test_plan_service_throughput(benchmark):
 
 
 def test_plan_service_shares_across_equal_specs(benchmark):
-    """Two separately built (but equal) specs land on one warm entry."""
-    system_a = replicated_video_system(2)
-    system_b = replicated_video_system(2)
-    assert system_a.universe is not system_b.universe
-    service = PlanningService()
-    plan_a = service.plan(
-        system_a.universe, system_a.invariants, system_a.actions,
-        system_a.source, system_a.target,
-    )
-    timed = benchmark.pedantic(
-        lambda: service.plan(
-            system_b.universe, system_b.invariants, system_b.actions,
-            system_b.source, system_b.target,
-        ),
-        rounds=1, iterations=1,
-    )
+    """Two separately built (but equal) specs land on one warm record."""
+    text_a = replicated_video_system(2).manifest_text()
+    text_b = replicated_video_system(2).manifest_text()
+    service = PlanningService(SpecRegistry())
+    record_a, _ = service.registry.register(text_a)
+    named = record_a.manifest.configurations
+    plan_a = service.plan_digest(record_a, named["source"], named["target"])
+
+    def register_and_plan():
+        record_b, _ = service.registry.register(text_b)
+        named_b = record_b.manifest.configurations
+        return service.plan_digest(
+            record_b, named_b["source"], named_b["target"]
+        )
+
+    timed = benchmark.pedantic(register_and_plan, rounds=1, iterations=1)
     assert timed.action_ids == plan_a.action_ids
-    assert service.stats().specs == 1
-    assert service.stats().warm_hits >= 1
+    assert service.stats()["specs"] == 1
+    assert service.stats()["warm_hits"] >= 1

@@ -15,6 +15,7 @@ Two families:
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -41,6 +42,20 @@ class RandomSystem:
     actions: ActionLibrary
     source: Configuration
     target: Configuration
+
+    def manifest_text(self) -> str:
+        """The instance as manifest text with ``source``/``target``
+        configurations, for the served (register-by-text) stack.
+
+        Manifest names cannot contain ``@``, so the ``@g<i>`` group
+        suffix of :func:`replicated_video_system` is written ``_g<i>``.
+        """
+        from repro.manifest import SystemManifest, dumps
+
+        manifest = SystemManifest(self.universe, self.invariants, self.actions)
+        manifest.configurations["source"] = self.source
+        manifest.configurations["target"] = self.target
+        return re.sub(r"(?<=\S)@(?=\S)", "_", dumps(manifest))
 
 
 def replicated_video_system(n_groups: int) -> RandomSystem:

@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument(
         "--batch", metavar="FILE",
         help="plan many requests from FILE (one 'SRC -> DST' per line; "
-             "'-' reads stdin) through a shared PlanningService",
+             "'-' reads stdin) against one shared planner",
     )
     plan.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -513,12 +513,11 @@ def cmd_plan(args, out) -> int:
         ControlPlane,
         ErrorEnvelope,
         PlanRequest,
-        PlanningService,
         RegisterSpecRequest,
         to_json,
     )
 
-    control = ControlPlane(service=PlanningService(workers=args.workers))
+    control = ControlPlane(workers=args.workers)
     manifest_text = Path(args.manifest).read_text(encoding="utf-8")
     if args.batch:
         if args.source or args.target:

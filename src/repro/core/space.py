@@ -382,42 +382,16 @@ class SafeConfigurationSpace:
         remaining 2^k subtree.  Produces exactly :meth:`enumerate`'s
         result (same order) but scales far better on constrained spaces.
 
-        Runs entirely on compiled bitmask closures; every leaf verdict is
+        This is :meth:`_restricted_masks` with every component free.  It
+        runs entirely on compiled bitmask closures; every leaf verdict is
         recorded in the shared safety memo so later SAG construction and
         lazy planning reuse it for free.
         """
-        universe = self.universe
-        order = universe.order
-        order_bits = tuple(universe.bit_of(name) for name in order)
-        # invariants with no universe atom are constant under the mask
-        # encoding — decide them once up front instead of per node
-        for expr in self._compiled_partial_fns():
-            if expr(0, 0) is False:
-                return ()
-        schedule = self._check_schedule(order)
-        memo = self._safe_memo
-        out: List[Configuration] = []
-        from_mask = universe.from_mask
-        n = len(order_bits)
-
-        def recurse(index: int, present: int, decided: int) -> None:
-            if index == n:
-                memo[present] = True
-                out.append(from_mask(present))
-                return
-            bit = order_bits[index]
-            decided |= bit
-            checks = schedule[index]
-            # '0' branch first so results come out in ascending bit order
-            for candidate in (present, present | bit):
-                for expr in checks:
-                    if expr(candidate, decided) is False:
-                        break
-                else:
-                    recurse(index + 1, candidate, decided)
-
-        recurse(0, 0, 0)
-        return tuple(out)
+        from_mask = self.universe.from_mask
+        return tuple(
+            from_mask(mask)
+            for mask in self._restricted_masks(0, self.universe.order)
+        )
 
     def _enumerate_parallel(
         self, workers: int, started: float

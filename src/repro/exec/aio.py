@@ -178,7 +178,7 @@ class AioAdaptationSystem:
         planner: Optional[AdaptationPlanner] = None,
     ):
         self.universe = universe
-        # An injected planner (e.g. a PlanningService-shared one) brings
+        # An injected planner (e.g. a registered spec's shared one) brings
         # its warm space/SAG/SPT caches with it.
         self.planner = planner or AdaptationPlanner(universe, invariants, actions)
         self.planner.space.require_safe(initial_config, role="initial configuration")

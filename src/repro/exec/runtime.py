@@ -295,8 +295,8 @@ def resolve_replan(
     failed = set(request.failed_edges)
     # Warm fast path: the MAP equals plan_k[0], so when the single best
     # plan avoids every failed edge the full Yen sweep is unnecessary —
-    # and with a PlanningService-shared planner, plan() is usually a
-    # cache/SPT hit while plan_k pays k spur searches.
+    # and with a registered spec's warm shared planner, plan() is usually
+    # a cache/SPT hit while plan_k pays k spur searches.
     try:
         best = planner.plan(request.current, destination)
     except (NoSafePathError, UnsafeConfigurationError):

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.actions import AdaptiveAction, MaskedAction
 from repro.core.analysis import blast_radius, invariants_at_risk
@@ -655,7 +655,12 @@ def _check_actions(
             model.section_span("components"),
             path,
         )
-        _check_named_pairs_lazy(model, report, path)
+        from repro.core.space import LazySafeSpace
+
+        lazy_space = LazySafeSpace(universe, model.kept_invariants())
+        _check_named_pairs(
+            model, report, path, lazy_space, _lazy_reach(model, lazy_space)
+        )
         return None
     space = SafeConfigurationSpace(universe, model.kept_invariants(), workers=workers)
     safe_masks = space.enumerate_masks()
@@ -745,7 +750,9 @@ def _check_actions(
                 break
 
     _check_connectivity(model, report, path, safe_masks, arcs_by_action)
-    _check_named_pairs(model, report, path, space, arcs_by_action)
+    _check_named_pairs(
+        model, report, path, space, _adjacency_reach(arcs_by_action)
+    )
     return safe_masks, safe_set
 
 
@@ -827,20 +834,20 @@ def _check_connectivity(
     )
 
 
-def _check_named_pairs(
-    model: _Model,
-    report: LintReport,
-    path: Optional[str],
-    space,
+#: ``reachable(start) -> (masks reached, search complete?)``
+Reach = Callable[[int], Tuple[Set[int], bool]]
+
+
+def _adjacency_reach(
     arcs_by_action: Dict[str, Tuple[Tuple[int, int], ...]],
-) -> None:
-    universe = model.universe
+) -> Reach:
+    """Exhaustive reachability over the enumerated SAG's arcs."""
     adjacency: Dict[int, Set[int]] = {}
     for arcs in arcs_by_action.values():
         for src, dst in arcs:
             adjacency.setdefault(src, set()).add(dst)
 
-    def reachable(start: int) -> Set[int]:
+    def reachable(start: int) -> Tuple[Set[int], bool]:
         seen = {start}
         frontier = [start]
         while frontier:
@@ -849,57 +856,9 @@ def _check_named_pairs(
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
-        return seen
+        return seen, True
 
-    endpoints: List[Tuple[_ConfigItem, int]] = []
-    for item in model.configurations:
-        try:
-            mask = universe.mask_of(item.configuration)
-        except Exception:
-            continue
-        if not space.is_safe_mask(mask):
-            report.add(
-                "SA205",
-                f"named configuration {item.name!r} violates the invariants: "
-                f"{model.kept_invariants().explain(item.configuration)}",
-                item.span,
-                path,
-            )
-            continue
-        endpoints.append((item, mask))
-
-    reach_cache: Dict[int, Set[int]] = {}
-    for index, (first, first_mask) in enumerate(endpoints):
-        for second, second_mask in endpoints[index + 1:]:
-            if first_mask == second_mask:
-                continue
-            if first_mask not in reach_cache:
-                reach_cache[first_mask] = reachable(first_mask)
-            if second_mask not in reach_cache:
-                reach_cache[second_mask] = reachable(second_mask)
-            forward = second_mask in reach_cache[first_mask]
-            backward = first_mask in reach_cache[second_mask]
-            if not forward and not backward:
-                report.add(
-                    "SA306",
-                    f"no safe adaptation path exists between configurations "
-                    f"{first.name!r} and {second.name!r} in either direction",
-                    second.span,
-                    path,
-                    related=[Related("the other endpoint", first.span)],
-                )
-            elif not forward or not backward:
-                src, dst = (second, first) if forward else (first, second)
-                report.add(
-                    "SA306",
-                    f"configuration {dst.name!r} is unreachable from "
-                    f"{src.name!r} (one-way: only the reverse direction has "
-                    "a safe path)",
-                    dst.span,
-                    path,
-                    related=[Related("unreachable from here", src.span)],
-                    severity=Severity.NOTE,
-                )
+    return reachable
 
 
 #: node budget for one lazy reachability search above the enumeration
@@ -908,29 +867,51 @@ def _check_named_pairs(
 LAZY_REACH_EXPANSIONS = 20_000
 
 
-def _check_named_pairs_lazy(
-    model: _Model, report: LintReport, path: Optional[str]
-) -> None:
-    """SA205/SA306 for universes too large to enumerate.
-
-    Named-configuration safety is a point query against the compiled
-    invariant closure; pairwise reachability is a budget-bounded BFS
-    over the implicit SAG (:class:`~repro.core.sag.LazySAG`).  Verdicts
-    are tri-state: a search that finds the other endpoint proves
-    reachability, a search that exhausts the reachable component
-    without finding it proves unreachability, and a search that runs
-    out of budget proves nothing — the pair is recorded as skipped
-    rather than misreported.
-    """
+def _lazy_reach(model: _Model, space) -> Reach:
+    """Budget-bounded reachability over the implicit SAG
+    (:class:`~repro.core.sag.LazySAG`), for universes too large to
+    enumerate."""
     from repro.core.actions import ActionLibrary
     from repro.core.sag import LazySAG
-    from repro.core.space import LazySafeSpace
 
-    universe = model.universe
-    invariants = model.kept_invariants()
-    space = LazySafeSpace(universe, invariants)
     lazy = LazySAG(space, ActionLibrary(item.action for item in model.actions))
 
+    def reachable(start: int) -> Tuple[Set[int], bool]:
+        seen = {start}
+        frontier = [start]
+        budget = LAZY_REACH_EXPANSIONS
+        while frontier:
+            if budget <= 0:
+                return seen, False
+            budget -= 1
+            node = frontier.pop()
+            for _action_id, _cost, nxt in lazy.successors(node):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return seen, True
+
+    return reachable
+
+
+def _check_named_pairs(
+    model: _Model,
+    report: LintReport,
+    path: Optional[str],
+    space,
+    reachable: Reach,
+) -> None:
+    """SA205/SA306 over the named configurations.
+
+    Named-configuration safety is a point query against *space*;
+    pairwise reachability asks *reachable*.  Verdicts are tri-state: a
+    search that finds the other endpoint proves reachability, a
+    complete search that does not proves unreachability, and an
+    incomplete one (the lazy search out of budget) proves nothing — the
+    pair is recorded as skipped rather than misreported.
+    """
+    universe = model.universe
+    invariants = model.kept_invariants()
     endpoints: List[Tuple[_ConfigItem, int]] = []
     for item in model.configurations:
         try:
@@ -948,32 +929,12 @@ def _check_named_pairs_lazy(
             continue
         endpoints.append((item, mask))
 
-    # (reached set, search complete?) per start mask
     reach_cache: Dict[int, Tuple[Set[int], bool]] = {}
 
-    def reachable(start: int) -> Tuple[Set[int], bool]:
-        cached = reach_cache.get(start)
-        if cached is None:
-            seen = {start}
-            frontier = [start]
-            budget = LAZY_REACH_EXPANSIONS
-            complete = True
-            while frontier:
-                if budget <= 0:
-                    complete = False
-                    break
-                budget -= 1
-                node = frontier.pop()
-                for _action_id, _cost, nxt in lazy.successors(node):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-            cached = (seen, complete)
-            reach_cache[start] = cached
-        return cached
-
     def verdict(start: int, goal: int) -> Optional[bool]:
-        seen, complete = reachable(start)
+        if start not in reach_cache:
+            reach_cache[start] = reachable(start)
+        seen, complete = reach_cache[start]
         if goal in seen:
             return True
         return False if complete else None

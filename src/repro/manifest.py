@@ -52,6 +52,7 @@ Parsing is two-stage so the static analyzer can see *all* defects:
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -601,6 +602,19 @@ def load_path(path) -> SystemManifest:
         return loads(handle.read(), path=str(path))
 
 
+def _cost_text(cost: float) -> str:
+    """*cost* as the ``[0-9.]+`` text ``loads`` reads back exactly.
+
+    The short ``:g`` form wherever it is exact and has no exponent (so
+    hand-written costs keep their spelling), else the exact plain
+    decimal of the shortest round-tripping ``repr``.
+    """
+    text = f"{cost:g}"
+    if "e" not in text and float(text) == cost:
+        return text
+    return format(Decimal(repr(cost)).normalize(), "f")
+
+
 def dumps(manifest: SystemManifest) -> str:
     """Render a manifest back to text (``loads``/``dumps`` round-trips)."""
     lines: List[str] = ["[components]"]
@@ -618,7 +632,10 @@ def dumps(manifest: SystemManifest) -> str:
     lines.append("")
     lines.append("[actions]")
     for action in manifest.actions:
-        entry = f"{action.action_id} : {action.operation_text()} @ {action.cost:g}"
+        entry = (
+            f"{action.action_id} : {action.operation_text()} "
+            f"@ {_cost_text(action.cost)}"
+        )
         if action.description:
             entry += f" ; {action.description}"
         lines.append(entry)

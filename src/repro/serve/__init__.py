@@ -2,19 +2,23 @@
 
 Layered sans-io design:
 
+* :mod:`repro.serve.registry` — the LRU-bounded multi-tenant
+  :class:`SpecRegistry`, the one digest → spec table: each
+  :class:`SpecRecord` holds a parsed manifest and its shared warm
+  planner, keyed by :func:`spec_digest` (the hash of the manifest's
+  canonical text); shardable across worker processes;
 * :mod:`repro.serve.service` — the thread-safe, amortizing
-  :class:`PlanningService` (warm planner caches keyed by spec digest);
+  :class:`PlanningService` (plan, batch, k-best and verify-paths
+  operations on registry records);
 * :mod:`repro.serve.api` — typed request/response dataclasses and
   :class:`ErrorEnvelope`, the wire vocabulary every transport shares;
-* :mod:`repro.serve.registry` — the LRU-bounded multi-tenant
-  :class:`SpecRegistry` (manifest uploads keyed by digest, shardable);
 * :mod:`repro.serve.control` — :class:`ControlPlane.dispatch`, the one
   entry point the CLI and the network adapter both answer through;
 * :mod:`repro.serve.http` — the asyncio HTTP/1.1 JSON adapter
   (stdlib-only) with admission control, deadlines, and worker sharding.
 
-``from repro.serve import PlanningService, spec_digest`` keeps working
-exactly as it did when this package was a single module.
+Specs enter only as manifest text (:meth:`SpecRegistry.register`);
+every later request addresses them by digest.
 """
 
 from repro.core.planner import PLAN_METHODS
@@ -58,13 +62,8 @@ from repro.serve.http import (
     response_status,
     run_server,
 )
-from repro.serve.registry import SpecRecord, SpecRegistry
-from repro.serve.service import (
-    PlanningService,
-    ServiceStats,
-    no_safe_path_message,
-    spec_digest,
-)
+from repro.serve.registry import SpecRecord, SpecRegistry, spec_digest
+from repro.serve.service import PlanningService, no_safe_path_message
 
 __all__ = [
     "ERROR_CODES",
@@ -91,7 +90,6 @@ __all__ = [
     "RequestDecodeError",
     "Response",
     "ServerThread",
-    "ServiceStats",
     "SpecRecord",
     "SpecRegistry",
     "StatsRequest",

@@ -162,30 +162,25 @@ _FAST_CACHE_LIMIT = 4096
 
 
 class ControlPlane:
-    """Transport-agnostic dispatcher over a service + spec registry.
+    """Transport-agnostic dispatcher over a spec registry and its service.
 
     Args:
-        service: the shared :class:`PlanningService` (one is created
-            when omitted; *workers* is forwarded to it).
-        workers: safe-space enumeration workers for a created service.
+        workers: safe-space enumeration workers for every spec's planner.
         max_specs: LRU bound on the spec registry.
         shard: ``(index, total)`` worker identity for digest sharding.
     """
 
     def __init__(
         self,
-        service: Optional[PlanningService] = None,
         *,
         workers: Optional[int] = None,
         max_specs: int = 64,
         shard: Optional[Tuple[int, int]] = None,
     ):
-        self.service = service if service is not None else PlanningService(
-            workers=workers
-        )
         self.registry = SpecRegistry(
-            self.service, max_specs=max_specs, shard=shard
+            max_specs=max_specs, shard=shard, workers=workers
         )
+        self.service = PlanningService(self.registry)
         #: (spec, source, target, method) → precomputed wire bytes
         self._fast_cache: Dict[Tuple[str, str, str, str], bytes] = {}
         #: canonical /v1/lint body → (wire bytes, spec digests it depends on)
@@ -302,15 +297,13 @@ class ControlPlane:
         )
         source = self._resolve_config(record, request.source)
         target = self._resolve_config(record, request.target)
-        plan = self.service.plan_digest(
-            record.digest, source, target, method=method
-        )
+        plan = self.service.plan_digest(record, source, target, method=method)
         alternates: Tuple[Tuple[Tuple[str, ...], float], ...] = ()
         if request.k > 1:
             alternates = tuple(
                 (alt.action_ids, alt.total_cost)
                 for alt in self.service.plan_k_digest(
-                    record.digest, source, target, request.k
+                    record, source, target, request.k
                 )
             )
         return PlanResult(
@@ -352,7 +345,7 @@ class ControlPlane:
             raise _fail("bad-request", "pairs must not be empty")
         record = self._resolve_spec(request.spec, request.manifest)
         pairs = self._resolve_pairs(record, request.pairs)
-        plans = self.service.plan_many_digest(record.digest, pairs)
+        plans = self.service.plan_many_digest(record, pairs)
         return PlanBatchResult(
             digest=record.digest,
             results=tuple(
@@ -381,7 +374,7 @@ class ControlPlane:
         for source, target in pairs:
             try:
                 plan: Optional[AdaptationPlan] = self.service.plan_digest(
-                    record.digest, source, target
+                    record, source, target
                 )
             except NoSafePathError:
                 plan = None
@@ -433,7 +426,7 @@ class ControlPlane:
         source = self._resolve_config(record, request.source)
         target = self._resolve_config(record, request.target)
         verdict = self.service.verify_paths_digest(
-            record.digest,
+            record,
             source,
             target,
             phi,
@@ -536,7 +529,7 @@ class ControlPlane:
                 raise _fail("unknown-property", str(exc)) from exc
             ltl = _PropertyCheck(
                 request.ltl,
-                self.service.compiled_property_digest(record.digest, phi),
+                self.service.compiled_property_digest(record, phi),
             )
         checker = SafetyChecker(manifest.invariants, universe=manifest.universe)
         stream = checker.streaming()
@@ -579,17 +572,8 @@ class ControlPlane:
         )
 
     def _handle_stats(self, request: StatsRequest) -> Response:
-        stats = self.service.stats()
         return StatsResult(
-            service={
-                "specs": stats.specs,
-                "warm_hits": stats.warm_hits,
-                "cold_plans": stats.cold_plans,
-                "lazy_plans": stats.lazy_plans,
-                "verify_hits": stats.verify_hits,
-                "lint_hits": self._lint_hits,
-                "evictions": stats.evictions,
-            },
+            service={**self.service.stats(), "lint_hits": self._lint_hits},
             specs=tuple(self.registry.describe()),
         )
 
@@ -702,7 +686,7 @@ class ControlPlane:
         if entry is None:
             return None
         wire, digests = entry
-        if any(not self.service.has_spec(digest) for digest in digests):
+        if any(digest not in self.registry for digest in digests):
             self._lint_cache.pop(key, None)
             return None
         self._lint_hits += 1

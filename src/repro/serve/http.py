@@ -225,7 +225,7 @@ class ControlPlaneHTTPServer:
         if self._counters is None:
             return
         try:
-            row = self.control.service.stats().counters()
+            row = self.control.service.stats()
             row.update(
                 served=self._served,
                 fast_hits=self._fast_hits,
@@ -295,12 +295,26 @@ class ControlPlaneHTTPServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            self._write(writer, 400, _wire_error(
+                "bad-request",
+                f"Content-Length must be a non-negative integer, "
+                f"got {declared!r}")[1])
+            return False
+        length = int(declared)
         if length > _MAX_BODY:
             self._write(writer, 400, _wire_error(
                 "bad-request", f"body too large ({length} bytes)")[1])
             return False
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as exc:
+            self._write(writer, 400, _wire_error(
+                "bad-request",
+                f"body ended after {len(exc.partial)} of {length} "
+                f"declared bytes")[1])
+            return False
         keep_alive = (
             version == "HTTP/1.1"
             and headers.get("connection", "").lower() != "close"
@@ -672,12 +686,8 @@ def _build_control(
 ) -> ControlPlane:
     from pathlib import Path
 
-    from repro.serve.service import PlanningService
-
     control = ControlPlane(
-        service=PlanningService(workers=enum_workers),
-        max_specs=max_specs,
-        shard=shard,
+        workers=enum_workers, max_specs=max_specs, shard=shard
     )
     for path in manifests:
         response = control.dispatch(

@@ -1,63 +1,120 @@
-"""SpecRegistry: multi-tenant manifest registry over a PlanningService.
+"""SpecRegistry: the control plane's one digest → spec table.
 
-The :class:`~repro.serve.service.PlanningService` keys warm planners by
-the content digest of a compiled ``(S, I, A)`` spec; this registry adds
-the **manifest layer** on top — named configurations, ``[properties]``
-formulas, component counts — so control-plane requests can say
-``"source": "baseline"`` instead of shipping bit vectors.  Uploading a
-spec *is* uploading manifest text: the registry parses it, registers the
-compiled spec with the service, and remembers the parsed manifest under
-the digest.
+Uploading a spec *is* uploading manifest text: the registry parses it
+and keys a :class:`SpecRecord` by :func:`spec_digest`, the hash of the
+manifest's canonical text.  A record holds everything a request against
+the spec needs — the parsed manifest (named configurations,
+``[properties]`` formulas), the shared :class:`AdaptationPlanner` whose
+warm space + SAG + shortest-path-tree caches every request reuses, the
+cold-path lock, the request counters and the compiled-property cache.
+The :class:`~repro.serve.service.PlanningService` runs its operations on
+these records.
 
 The registry is LRU-bounded (``max_specs``): registering past the bound
-evicts the least-recently-used spec, dropping its warm planner from the
-service as well.  In ``--workers`` mode each worker process gets a
-``shard=(index, total)`` and **owns** the digests that hash onto it;
-foreign specs are still served (any worker can be asked anything) but
-are marked *transient* and evicted first, so the shard owner is the
-process that keeps a spec's caches warm.
+evicts the least-recently-used record, and its warm planner with it.  In
+``--workers`` mode each worker process gets a ``shard=(index, total)``
+and **owns** the digests that hash onto it; foreign specs are still
+served (any worker can be asked anything) but are marked *transient* and
+evicted first, so the shard owner is the process that keeps a spec's
+caches warm.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.manifest import SystemManifest, loads
-from repro.serve.service import PlanningService
+from repro.core.planner import AdaptationPlanner
+from repro.ltl.compile import CompiledProperty
+from repro.manifest import SystemManifest, dumps, loads
+
+#: per-record request counters (summed into ``/v1/stats`` under these names)
+COUNTERS = ("warm_hits", "cold_plans", "lazy_plans", "verify_hits")
+
+
+def spec_digest(manifest: SystemManifest) -> str:
+    """The spec identity: sha256 of the manifest's canonical text.
+
+    :func:`repro.manifest.dumps` renders every part an answer depends on
+    — components in declaration order (which fixes bit positions),
+    invariants with their names, actions with costs and descriptions,
+    named configurations, properties and conflicts — and nothing else,
+    so manifests differing only in whitespace or comments share a
+    digest, and any two that could answer a request differently do not.
+    """
+    return hashlib.sha256(dumps(manifest).encode("utf-8")).hexdigest()
 
 
 class SpecRecord:
-    """One registered spec: its digest plus the parsed manifest."""
+    """One registered spec: its manifest, shared planner, lock and counters."""
 
-    __slots__ = ("digest", "manifest", "transient")
+    __slots__ = (
+        "digest",
+        "manifest",
+        "transient",
+        "planner",
+        "lock",
+        "stats_lock",
+        "properties",
+        "warm_hits",
+        "cold_plans",
+        "lazy_plans",
+        "verify_hits",
+    )
 
     def __init__(
-        self, digest: str, manifest: SystemManifest, transient: bool = False
+        self,
+        digest: str,
+        manifest: SystemManifest,
+        planner: AdaptationPlanner,
+        transient: bool = False,
     ):
         self.digest = digest
         self.manifest = manifest
         #: True on a sharded worker that does not own this digest
         self.transient = transient
+        self.planner = planner
+        #: serializes cold work (enumeration, SAG build, Dijkstra)
+        self.lock = threading.RLock()
+        #: guards the counters only — held for nanoseconds, never while planning
+        self.stats_lock = threading.Lock()
+        #: compiled-property cache, keyed by the canonical formula text
+        self.properties: Dict[str, CompiledProperty] = {}
+        self.warm_hits = 0
+        self.cold_plans = 0
+        self.lazy_plans = 0
+        self.verify_hits = 0
+
+    def count(self, counter: str, amount: int = 1) -> None:
+        with self.stats_lock:
+            setattr(self, counter, getattr(self, counter) + amount)
+
+    def counters(self) -> Dict[str, int]:
+        """All counters read atomically (consistent under concurrent bumps)."""
+        with self.stats_lock:
+            return {counter: getattr(self, counter) for counter in COUNTERS}
 
 
 class SpecRegistry:
-    """LRU-bounded digest → :class:`SpecRecord` map, synced to a service.
+    """LRU-bounded digest → :class:`SpecRecord` map.
 
     Args:
-        service: the planning service warm caches live in; evicting a
-            record evicts the service entry too.
         max_specs: LRU bound on registered specs (≥ 1).
         shard: ``(index, total)`` worker identity, or ``None`` when the
             process serves the whole digest space.
+        workers: forwarded to each planner's
+            :class:`~repro.core.space.SafeConfigurationSpace` for
+            parallel safe-space enumeration.
     """
 
     def __init__(
         self,
-        service: PlanningService,
+        *,
         max_specs: int = 64,
         shard: Optional[Tuple[int, int]] = None,
+        workers: Optional[int] = None,
     ):
         if max_specs < 1:
             raise ValueError(f"max_specs must be >= 1, got {max_specs}")
@@ -65,9 +122,11 @@ class SpecRegistry:
             index, total = shard
             if not (total >= 1 and 0 <= index < total):
                 raise ValueError(f"shard index/total out of range: {shard}")
-        self.service = service
         self.max_specs = max_specs
         self.shard = shard
+        self.workers = workers
+        #: records dropped by LRU pressure or :meth:`evict`
+        self.evictions = 0
         self._lock = threading.RLock()
         self._records: "OrderedDict[str, SpecRecord]" = OrderedDict()
 
@@ -88,23 +147,25 @@ class SpecRegistry:
     def register(self, text: str) -> Tuple[SpecRecord, bool]:
         """Parse manifest *text* and register its spec.
 
-        Returns ``(record, created)`` — *created* is False when an equal
-        spec (same content digest) was already registered, in which case
-        the existing record is refreshed in LRU order and returned.
-        Raises :class:`repro.errors.ParseError` on bad manifest text.
+        Returns ``(record, created)`` — *created* is False when a
+        manifest with the same canonical text (same digest) was already
+        registered, in which case the existing record is refreshed in
+        LRU order and returned.  The planner is built once per digest,
+        however many callers race to register it.  Raises
+        :class:`repro.errors.ParseError` on bad manifest text.
         """
         manifest = loads(text)
-        digest = self.service.register(
-            manifest.universe, manifest.invariants, manifest.actions,
-            manifest.conflicts,
-        )
+        digest = spec_digest(manifest)
         with self._lock:
             record = self._records.get(digest)
             if record is not None:
                 self._records.move_to_end(digest)
                 return record, False
             record = SpecRecord(
-                digest, manifest, transient=not self.owns(digest)
+                digest,
+                manifest,
+                manifest.planner(workers=self.workers),
+                transient=not self.owns(digest),
             )
             self._records[digest] = record
             self._evict_over_bound()
@@ -118,7 +179,7 @@ class SpecRegistry:
                 next(iter(self._records)),
             )
             del self._records[victim]
-            self.service.evict(victim)
+            self.evictions += 1
 
     # -- lookup ------------------------------------------------------------------
     def get(self, digest: str) -> SpecRecord:
@@ -143,41 +204,32 @@ class SpecRegistry:
     def __len__(self) -> int:
         return len(self._records)
 
-    def digests(self) -> Tuple[str, ...]:
+    def records(self) -> List[SpecRecord]:
+        """A snapshot of every registered record."""
         with self._lock:
-            return tuple(self._records)
+            return list(self._records.values())
 
     def evict(self, digest: str) -> bool:
-        """Drop a spec from registry and service; True when it existed."""
+        """Drop a spec and its warm caches; True when it existed."""
         with self._lock:
             existed = self._records.pop(digest, None) is not None
-        # Sync the service either way: a spec registered through the
-        # object-keyed service API may exist there without a record here.
-        serviced = self.service.evict(digest)
-        return existed or serviced
+            if existed:
+                self.evictions += 1
+        return existed
 
     # -- introspection -----------------------------------------------------------
     def describe(self) -> List[Dict[str, Any]]:
-        """Per-spec listing merging registry facts with service counters."""
-        with self._lock:
-            records = list(self._records.values())
-        counters = self.service.spec_stats()
+        """Per-spec listing: manifest facts plus the record's counters."""
         out: List[Dict[str, Any]] = []
-        for record in sorted(records, key=lambda r: r.digest):
+        for record in sorted(self.records(), key=lambda r: r.digest):
             doc: Dict[str, Any] = {
                 "digest": record.digest,
                 "components": len(record.manifest.universe),
                 "configurations": sorted(record.manifest.configurations),
                 "properties": sorted(record.manifest.properties),
                 "owned": self.owns(record.digest),
+                "compiled_properties": len(record.properties),
             }
-            spec_counters = dict(counters.get(record.digest, {}))
-            # the service's "properties" counter is its compiled-formula
-            # cache size; don't clobber the manifest's property names
-            if "properties" in spec_counters:
-                spec_counters["compiled_properties"] = spec_counters.pop(
-                    "properties"
-                )
-            doc.update(spec_counters)
+            doc.update(record.counters())
             out.append(doc)
         return out

@@ -190,7 +190,7 @@ class AdaptationCluster:
         # With an observation bus, every record any host appends is
         # published at emission time (streaming checking/enforcement).
         self.trace = Trace(bus=bus)
-        # An injected planner (e.g. a PlanningService-shared one) brings
+        # An injected planner (e.g. a registered spec's shared one) brings
         # its warm space/SAG/SPT caches; by default each cluster owns a
         # private planner, as before.
         self.planner = planner or AdaptationPlanner(universe, invariants, actions)

@@ -37,10 +37,7 @@ class TestRegisterAndEvict:
     def test_register_returns_the_spec_digest(self, video_text):
         control = ControlPlane()
         result = control.dispatch(RegisterSpecRequest(manifest=video_text))
-        manifest = loads(video_text)
-        assert result.digest == spec_digest(
-            manifest.universe, manifest.invariants, manifest.actions
-        )
+        assert result.digest == spec_digest(loads(video_text))
         assert result.components == 7
         assert result.configurations == ("source", "target")
         assert result.created is True
@@ -51,6 +48,23 @@ class TestRegisterAndEvict:
         again = control.dispatch(RegisterSpecRequest(manifest=video_text))
         assert again.digest == first.digest
         assert again.created is False
+
+    def test_retargeted_reupload_plans_to_its_own_target(self, video_text):
+        control = ControlPlane()
+        first = control.dispatch(RegisterSpecRequest(manifest=video_text))
+        # the same system, its named target moved onto the source
+        retargeted = video_text.replace("target = 1010010", "target = 0100101")
+        assert retargeted != video_text
+        again = control.dispatch(RegisterSpecRequest(manifest=retargeted))
+        assert again.created is True and again.digest != first.digest
+        plans = [
+            control.dispatch(
+                PlanRequest(spec=digest, source="source", target="target")
+            )
+            for digest in (first.digest, again.digest)
+        ]
+        assert plans[0].plan.cost == 50.0
+        assert plans[1].plan.cost == 0.0 and plans[1].plan.steps == ()
 
     def test_bad_manifest_is_an_envelope_not_a_traceback(self):
         result = ControlPlane().dispatch(
@@ -209,10 +223,9 @@ class TestConflicts:
             RegisterSpecRequest(manifest=CONFLICTED_MANIFEST + CONFLICTS_SECTION)
         ).digest
         assert plain != conflicted
-        # a conflict-free spec keeps its conflict-free digest
-        manifest = loads(CONFLICTED_MANIFEST)
-        assert plain == spec_digest(
-            manifest.universe, manifest.invariants, manifest.actions
+        assert plain == spec_digest(loads(CONFLICTED_MANIFEST))
+        assert conflicted == spec_digest(
+            loads(CONFLICTED_MANIFEST + CONFLICTS_SECTION)
         )
 
 

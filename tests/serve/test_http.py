@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -238,6 +239,53 @@ class TestGoldenErrorEnvelopes:
         )
         assert status == 400
         assert body["error"]["code"] == "bad-request"
+
+
+def raw_exchange(address, data):
+    """Send raw bytes, half-close, and read until the server closes."""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestMalformedFraming:
+    """Broken framing gets a typed 400 and a closed connection."""
+
+    @pytest.mark.parametrize(
+        "head, body, message",
+        [
+            ("Content-Length: abc", b"",
+             "Content-Length must be a non-negative integer, got 'abc'"),
+            ("Content-Length: -5", b"",
+             "Content-Length must be a non-negative integer, got '-5'"),
+            ("Content-Length: 50", b"{}",
+             "body ended after 2 of 50 declared bytes"),
+        ],
+    )
+    def test_bad_framing_is_a_bad_request(self, server, head, body, message):
+        raw = raw_exchange(
+            server.address,
+            f"POST /v1/plan HTTP/1.1\r\nHost: x\r\n{head}\r\n\r\n".encode()
+            + body,
+        )
+        status_line, _, rest = raw.partition(b"\r\n")
+        headers, _, payload = rest.partition(b"\r\n\r\n")
+        assert status_line == b"HTTP/1.1 400 Bad Request"
+        assert b"Connection: close" in headers
+        assert json.loads(payload) == {
+            "ok": False,
+            "error": {"code": "bad-request", "message": message},
+        }
+        # the server keeps serving other connections
+        status, _, _ = request(server.address, "GET", "/healthz")
+        assert status == 200
 
 
 class GatedControl(ControlPlane):

@@ -4,10 +4,9 @@ import threading
 
 import pytest
 
-import repro.serve.service as service_module
 from repro.errors import NoSafePathError
-from repro.manifest import loads
-from repro.serve import PlanningService
+from repro.manifest import SystemManifest, loads
+from repro.serve import PlanningService, SpecRegistry
 
 
 @pytest.fixture
@@ -15,7 +14,14 @@ def spec(video_text):
     manifest = loads(video_text)
     source = manifest.resolve_configuration("source")
     target = manifest.resolve_configuration("target")
-    return manifest, source, target
+    return video_text, source, target
+
+
+def registered(text):
+    """A fresh service with *text* registered; returns (service, record)."""
+    service = PlanningService(SpecRegistry())
+    record, _ = service.registry.register(text)
+    return service, record
 
 
 def hammer(threads, iterations, work):
@@ -46,31 +52,25 @@ class TestExactAccounting:
     ITERATIONS = 50
 
     def test_every_request_is_warm_or_cold_and_cold_is_per_pair(self, spec):
-        manifest, source, target = spec
-        service = PlanningService()
-        digest = service.register(
-            manifest.universe, manifest.invariants, manifest.actions
-        )
+        text, source, target = spec
+        service, record = registered(text)
         pairs = [(source, target), (target, target), (source, source)]
 
         def work(index, iteration):
             a, b = pairs[(index + iteration) % len(pairs)]
-            plan = service.plan_digest(digest, a, b)
+            plan = service.plan_digest(record, a, b)
             assert plan.source == a and plan.target == b
 
         hammer(self.THREADS, self.ITERATIONS, work)
         stats = service.stats()
         total = self.THREADS * self.ITERATIONS
-        assert stats.warm_hits + stats.cold_plans == total
-        assert stats.cold_plans == len(pairs)
-        assert stats.lazy_plans == 0
+        assert stats["warm_hits"] + stats["cold_plans"] == total
+        assert stats["cold_plans"] == len(pairs)
+        assert stats["lazy_plans"] == 0
 
     def test_unreachable_pairs_stay_exact_too(self, spec):
-        manifest, source, target = spec
-        service = PlanningService()
-        digest = service.register(
-            manifest.universe, manifest.invariants, manifest.actions
-        )
+        text, source, target = spec
+        service, record = registered(text)
         # target -> source is unreachable (actions are directed); the
         # planner caches the negative answer, so it costs one cold plan
         pairs = [(source, target), (target, source)]
@@ -79,23 +79,20 @@ class TestExactAccounting:
         def work(index, iteration):
             a, b = pairs[(index + iteration) % len(pairs)]
             try:
-                service.plan_digest(digest, a, b)
+                service.plan_digest(record, a, b)
             except NoSafePathError:
                 unreachable.append(1)
 
         hammer(self.THREADS, self.ITERATIONS, work)
         stats = service.stats()
         total = self.THREADS * self.ITERATIONS
-        assert stats.warm_hits + stats.cold_plans == total
-        assert stats.cold_plans == len(pairs)
+        assert stats["warm_hits"] + stats["cold_plans"] == total
+        assert stats["cold_plans"] == len(pairs)
         assert len(unreachable) == total // 2
 
     def test_stats_snapshot_is_consistent_mid_hammer(self, spec):
-        manifest, source, target = spec
-        service = PlanningService()
-        digest = service.register(
-            manifest.universe, manifest.invariants, manifest.actions
-        )
+        text, source, target = spec
+        service, record = registered(text)
         stop = threading.Event()
         snapshots = []
 
@@ -108,15 +105,16 @@ class TestExactAccounting:
         try:
             hammer(
                 self.THREADS, self.ITERATIONS,
-                lambda i, j: service.plan_digest(digest, source, target),
+                lambda i, j: service.plan_digest(record, source, target),
             )
         finally:
             stop.set()
             observer.join()
         total = self.THREADS * self.ITERATIONS
-        assert service.stats().warm_hits + service.stats().cold_plans == total
+        final = service.stats()
+        assert final["warm_hits"] + final["cold_plans"] == total
         # served counts never decrease and never overshoot the total
-        counts = [s.warm_hits + s.cold_plans for s in snapshots]
+        counts = [s["warm_hits"] + s["cold_plans"] for s in snapshots]
         assert counts == sorted(counts)
         assert all(count <= total for count in counts)
 
@@ -125,40 +123,30 @@ class TestBuildOnce:
     def test_concurrent_register_builds_the_planner_exactly_once(
         self, spec, monkeypatch
     ):
-        manifest, _, _ = spec
-        real_planner = service_module.AdaptationPlanner
+        text, _, _ = spec
+        real_planner = SystemManifest.planner
         built = []
 
-        class CountingPlanner(real_planner):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
+        def counting_planner(self, *args, **kwargs):
+            built.append(1)
+            return real_planner(self, *args, **kwargs)
 
-        monkeypatch.setattr(
-            service_module, "AdaptationPlanner", CountingPlanner
-        )
-        service = PlanningService()
-        digests = []
+        monkeypatch.setattr(SystemManifest, "planner", counting_planner)
+        registry = SpecRegistry()
+        records = []
 
         def work(index, iteration):
-            digests.append(
-                service.register(
-                    manifest.universe, manifest.invariants, manifest.actions
-                )
-            )
+            records.append(registry.register(text)[0])
 
         hammer(8, 5, work)
         assert len(built) == 1
-        assert len(set(digests)) == 1
-        assert service.stats().specs == 1
+        assert len({id(record) for record in records}) == 1
+        assert PlanningService(registry).stats()["specs"] == 1
 
     def test_count_warm_hit_only_credits_live_specs(self, spec):
-        manifest, _, _ = spec
-        service = PlanningService()
-        digest = service.register(
-            manifest.universe, manifest.invariants, manifest.actions
-        )
-        assert service.count_warm_hit(digest) is True
-        assert service.stats().warm_hits == 1
-        service.evict(digest)
-        assert service.count_warm_hit(digest) is False
+        text, _, _ = spec
+        service, record = registered(text)
+        assert service.count_warm_hit(record.digest) is True
+        assert service.stats()["warm_hits"] == 1
+        service.registry.evict(record.digest)
+        assert service.count_warm_hit(record.digest) is False

@@ -1,7 +1,9 @@
 """Tests for the declarative manifest format."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.actions import ActionLibrary, AdaptiveAction
 from repro.errors import ParseError
 from repro.manifest import dumps, loads, video_manifest_text
 
@@ -198,6 +200,34 @@ class TestRoundTrip:
             manifest.configurations["source"], manifest.configurations["target"]
         )
         assert plan.total_cost == 50.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(
+            min_value=0, max_value=1e30, allow_nan=False, allow_infinity=False
+        )
+        | st.integers(min_value=0, max_value=10**15).map(float)
+    )
+    def test_action_costs_round_trip_exactly(self, cost):
+        manifest = loads(MINIMAL)
+        action = next(iter(manifest.actions))
+        manifest.actions = ActionLibrary(
+            [AdaptiveAction(action.action_id, action.removes, action.adds, cost)]
+        )
+        text = dumps(manifest)
+        again = loads(text)
+        assert next(iter(again.actions)).cost == cost
+        assert dumps(again) == text
+
+    @pytest.mark.parametrize(
+        "cost, text",
+        [(10.0, "10"), (0.5, "0.5"), (1.0000001, "1.0000001"),
+         (1e-05, "0.00001"), (12345678.0, "12345678")],
+    )
+    def test_cost_text_is_short_where_exact_else_plain(self, cost, text):
+        from repro.manifest import _cost_text
+
+        assert _cost_text(cost) == text
 
     def test_load_path(self, tmp_path):
         from repro.manifest import load_path

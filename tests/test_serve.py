@@ -14,8 +14,8 @@ from repro.apps.video.system import (
 )
 from repro.cli import main
 from repro.errors import NoSafePathError
-from repro.manifest import video_manifest_text
-from repro.serve import PlanningService, spec_digest
+from repro.manifest import SystemManifest, video_manifest_text
+from repro.serve import PlanningService, SpecRegistry, spec_digest
 
 
 def run_cli(*argv):
@@ -24,23 +24,47 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
+def new_service():
+    return PlanningService(SpecRegistry())
+
+
+def register(service, text):
+    """Register manifest *text*; returns its record."""
+    record, _created = service.registry.register(text)
+    return record
+
+
 @pytest.fixture
 def video_spec():
     return video_universe(), video_invariants(), video_actions()
 
 
+@pytest.fixture
+def video_text():
+    return video_manifest_text()
+
+
 class TestSpecDigest:
     def test_equal_specs_share_a_digest(self, video_spec):
         again = (video_universe(), video_invariants(), video_actions())
-        assert spec_digest(*video_spec) == spec_digest(*again)
+        assert spec_digest(SystemManifest(*video_spec)) == spec_digest(
+            SystemManifest(*again)
+        )
 
     def test_digest_is_sensitive_to_every_part(self, video_spec):
         universe, invariants, actions = video_spec
-        base = spec_digest(universe, invariants, actions)
+        base = spec_digest(SystemManifest(universe, invariants, actions))
         fewer_invariants = type(invariants)(list(invariants)[:-1])
-        assert spec_digest(universe, fewer_invariants, actions) != base
+        assert spec_digest(
+            SystemManifest(universe, fewer_invariants, actions)
+        ) != base
         fewer_actions = type(actions)(list(actions)[:-1])
-        assert spec_digest(universe, invariants, fewer_actions) != base
+        assert spec_digest(
+            SystemManifest(universe, invariants, fewer_actions)
+        ) != base
+        named = SystemManifest(universe, invariants, actions)
+        named.configurations["source"] = paper_source(universe)
+        assert spec_digest(named) != base
 
     def test_component_order_is_semantic(self, video_spec):
         from repro.core.model import Component, ComponentUniverse
@@ -52,64 +76,65 @@ class TestSpecDigest:
                 for name in reversed(universe.order)
             ]
         )
-        assert spec_digest(reordered, invariants, actions) != spec_digest(
-            universe, invariants, actions
-        )
+        assert spec_digest(
+            SystemManifest(reordered, invariants, actions)
+        ) != spec_digest(SystemManifest(universe, invariants, actions))
 
 
 class TestPlanningService:
-    def test_equal_specs_share_one_planner(self, video_spec):
-        service = PlanningService()
-        first = service.planner_for(*video_spec)
-        again = service.planner_for(
-            video_universe(), video_invariants(), video_actions()
-        )
-        assert first is again
-        assert service.stats().specs == 1
+    def test_equal_specs_share_one_planner(self, video_text):
+        service = new_service()
+        first, _ = service.registry.register(video_text)
+        again, created = service.registry.register(video_manifest_text())
+        assert created is False
+        assert first.planner is again.planner
+        assert service.stats()["specs"] == 1
 
-    def test_plan_matches_direct_planner(self, video_spec):
-        universe, invariants, actions = video_spec
-        service = PlanningService()
+    def test_plan_matches_direct_planner(self, video_text):
+        service = new_service()
+        record = register(service, video_text)
+        universe = video_universe()
         source, target = paper_source(universe), paper_target(universe)
-        plan = service.plan(universe, invariants, actions, source, target)
+        plan = service.plan_digest(record, source, target)
         assert plan.total_cost == 50.0
         # second call is a warm hit serving the identical object
-        assert service.plan(universe, invariants, actions, source, target) is plan
+        assert service.plan_digest(record, source, target) is plan
         stats = service.stats()
-        assert stats.warm_hits >= 1 and stats.cold_plans >= 1
+        assert stats["warm_hits"] >= 1 and stats["cold_plans"] >= 1
 
-    def test_unreachable_raises_warm_and_cold(self, video_spec):
-        universe, invariants, actions = video_spec
-        service = PlanningService()
+    def test_unreachable_raises_warm_and_cold(self, video_text):
+        service = new_service()
+        record = register(service, video_text)
+        universe = video_universe()
         source, target = paper_source(universe), paper_target(universe)
         with pytest.raises(NoSafePathError):
-            service.plan(universe, invariants, actions, target, source)
+            service.plan_digest(record, target, source)
         # now cached as unreachable; the warm path must raise too
         with pytest.raises(NoSafePathError):
-            service.plan(universe, invariants, actions, target, source)
+            service.plan_digest(record, target, source)
 
-    def test_plan_many_through_service(self, video_spec):
-        universe, invariants, actions = video_spec
-        service = PlanningService()
+    def test_plan_many_through_service(self, video_text):
+        service = new_service()
+        record = register(service, video_text)
+        universe = video_universe()
         source, target = paper_source(universe), paper_target(universe)
-        plans = service.plan_many(
-            universe, invariants, actions, [(source, target), (target, source)]
+        plans = service.plan_many_digest(
+            record, [(source, target), (target, source)]
         )
         assert plans[0] is not None and plans[0].total_cost == 50.0
         assert plans[1] is None  # the video SAG is one-way
 
-    def test_concurrent_callers_agree(self, video_spec):
-        universe, invariants, actions = video_spec
-        service = PlanningService()
+    def test_concurrent_callers_agree(self, video_text):
+        service = new_service()
+        record = register(service, video_text)
+        universe = video_universe()
         source, target = paper_source(universe), paper_target(universe)
         results, errors = [], []
 
         def hammer():
             try:
                 for _ in range(20):
-                    plan = service.plan(
-                        universe, invariants, actions, source, target
-                    )
+                    plan = service.plan_digest(record, source, target)
                     results.append(plan.action_ids)
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
@@ -121,7 +146,7 @@ class TestPlanningService:
             thread.join()
         assert not errors
         assert len(set(results)) == 1  # every caller saw the same MAP
-        assert service.stats().specs == 1
+        assert service.stats()["specs"] == 1
 
 
 class TestCliBatch:
@@ -176,81 +201,69 @@ class TestLazyRouting:
     """Oversized specs route to the lazy frontier planner automatically."""
 
     @pytest.fixture
-    def big_system(self):
+    def big(self):
+        """A served 28-component spec (> LAZY_PLAN_COMPONENTS): the
+        service, the spec's record, and its source/target."""
         from repro.bench.workloads import replicated_video_system
 
-        return replicated_video_system(4)  # 28 components > LAZY_PLAN_COMPONENTS
-
-    def test_oversized_spec_uses_lazy_plan(self, big_system):
-        service = PlanningService()
-        plan = service.plan(
-            big_system.universe,
-            big_system.invariants,
-            big_system.actions,
-            big_system.source,
-            big_system.target,
+        service = new_service()
+        record, _ = service.registry.register(
+            replicated_video_system(4).manifest_text()
         )
+        named = record.manifest.configurations
+        return service, record, named["source"], named["target"]
+
+    def test_oversized_spec_uses_lazy_plan(self, big):
+        service, record, source, target = big
+        plan = service.plan_digest(record, source, target)
         assert plan.total_cost == 200.0
         stats = service.stats()
-        assert stats.lazy_plans == 1
+        assert stats["lazy_plans"] == 1
         # the eager space was never materialized for this spec
-        planner = service.planner_for(
-            big_system.universe, big_system.invariants, big_system.actions
-        )
-        assert planner._sag is None
-        assert planner.space._cache is None
+        assert record.planner._sag is None
+        assert record.planner.space._cache is None
 
-    def test_oversized_warm_hit_still_served_from_cache(self, big_system):
-        service = PlanningService()
-        args = (
-            big_system.universe,
-            big_system.invariants,
-            big_system.actions,
-            big_system.source,
-            big_system.target,
-        )
-        first = service.plan(*args)
-        assert service.plan(*args) is first
+    def test_oversized_warm_hit_still_served_from_cache(self, big):
+        service, record, source, target = big
+        first = service.plan_digest(record, source, target)
+        assert service.plan_digest(record, source, target) is first
         stats = service.stats()
-        assert stats.lazy_plans == 1 and stats.warm_hits == 1
+        assert stats["lazy_plans"] == 1 and stats["warm_hits"] == 1
 
-    def test_oversized_plan_many_maps_unreachable_to_none(self, big_system):
-        service = PlanningService()
+    def test_oversized_plan_many_maps_unreachable_to_none(self, big):
+        service, record, source, target = big
         pairs = [
-            (big_system.source, big_system.target),
-            (big_system.target, big_system.source),  # one-way SAG: unreachable
+            (source, target),
+            (target, source),  # one-way SAG: unreachable
         ]
-        results = service.plan_many(
-            big_system.universe, big_system.invariants, big_system.actions, pairs
-        )
+        results = service.plan_many_digest(record, pairs)
         assert results[0] is not None and results[0].total_cost == 200.0
         assert results[1] is None
-        assert service.stats().lazy_plans == 2
+        assert service.stats()["lazy_plans"] == 2
 
-    def test_threshold_is_configurable(self, video_spec):
-        universe, invariants, actions = video_spec
-        service = PlanningService()
-        digest = service.register(universe, invariants, actions)
+    def test_threshold_is_configurable(self, video_text):
+        service = new_service()
+        record = register(service, video_text)
+        universe = video_universe()
         source, target = paper_source(universe), paper_target(universe)
-        plan = service.plan_digest(digest, source, target, method="lazy")
+        plan = service.plan_digest(record, source, target, method="lazy")
         assert plan.total_cost == 50.0
-        assert service.stats().lazy_plans == 1
+        assert service.stats()["lazy_plans"] == 1
 
 
 class TestTemporalVerification:
     """Path-quantified checks through the service's amortizing caches."""
 
-    def test_verify_matches_direct_call(self, video_spec):
+    def test_verify_matches_direct_call(self, video_spec, video_text):
         from repro.core.planner import AdaptationPlanner
         from repro.ltl import parse_property, verify_paths
 
         universe, invariants, actions = video_spec
-        service = PlanningService()
+        service = new_service()
+        record = register(service, video_text)
         source, target = paper_source(universe), paper_target(universe)
         phi = parse_property("historically({one_of(E1, E2)})")
-        via_service = service.verify_paths(
-            universe, invariants, actions, source, target, phi
-        )
+        via_service = service.verify_paths_digest(record, source, target, phi)
         direct = verify_paths(
             AdaptationPlanner(universe, invariants, actions),
             source, target, phi, lazy=False,
@@ -259,53 +272,37 @@ class TestTemporalVerification:
         assert via_service.paths_checked == direct.paths_checked
         assert via_service.mode == "eager"
 
-    def test_structurally_equal_formulas_share_one_compilation(self, video_spec):
+    def test_structurally_equal_formulas_share_one_compilation(
+        self, video_text
+    ):
         from repro.ltl import parse_property
 
-        universe, invariants, actions = video_spec
-        service = PlanningService()
+        service = new_service()
+        record = register(service, video_text)
+        universe = video_universe()
         source, target = paper_source(universe), paper_target(universe)
         for _ in range(3):  # separately parsed objects, same structure
-            service.verify_paths(
-                universe, invariants, actions, source, target,
-                parse_property("historically(!E2)"),
+            service.verify_paths_digest(
+                record, source, target, parse_property("historically(!E2)"),
             )
         stats = service.stats()
-        assert stats.verify_hits == 2  # first call compiles, the rest are warm
+        assert stats["verify_hits"] == 2  # first call compiles, the rest are warm
 
     def test_oversized_spec_verifies_lazily(self):
         from repro.bench.workloads import replicated_video_system
         from repro.ltl import parse_property
 
-        big = replicated_video_system(4)
-        service = PlanningService()
-        verdict = service.verify_paths(
-            big.universe, big.invariants, big.actions,
-            big.source, big.target,
-            parse_property("historically({one_of(E1@g0, E2@g0)})"),
+        service = new_service()
+        record, _ = service.registry.register(
+            replicated_video_system(4).manifest_text()
+        )
+        named = record.manifest.configurations
+        verdict = service.verify_paths_digest(
+            record, named["source"], named["target"],
+            parse_property("historically({one_of(E1_g0, E2_g0)})"),
             k=2, max_expansions=60_000,
         )
         assert verdict.holds is True
         assert verdict.mode == "lazy"
-        planner = service.planner_for(big.universe, big.invariants, big.actions)
-        assert planner._sag is None and planner.space._cache is None
-
-    def test_check_plans_batch(self, video_spec):
-        from repro.ltl import parse_property
-
-        universe, invariants, actions = video_spec
-        service = PlanningService()
-        source, target = paper_source(universe), paper_target(universe)
-        results = service.check_plans(
-            universe, invariants, actions,
-            [(source, target), (target, source)],
-            parse_property("historically(!E2)"),
-        )
-        plan, violation = results[0]
-        assert plan.total_cost == 50.0
-        # the reported index is the first E2-bearing committed configuration
-        expected = next(
-            i for i, c in enumerate(plan.configurations) if "E2" in c.members
-        )
-        assert violation == expected
-        assert results[1] is None  # unreachable pair
+        assert record.planner._sag is None
+        assert record.planner.space._cache is None
