@@ -17,7 +17,8 @@ The pipeline mirrors the paper's development-time analysis phase:
    dead and dominated actions, zero costs, missing replace inverses, weak
    connectivity of the Safe Adaptation Graph, and reachability between
    the manifest's named configurations (Hufflen-style reconfiguration
-   path checking, arXiv:1703.07036).
+   path checking, arXiv:1703.07036) — above the cap by a budgeted
+   best-first search that stops once it has seen every other endpoint.
 4. **SA6xx (interference)** checks every unordered action pair for
    concurrency hazards (:mod:`repro.lint.interference`): non-commuting
    firing orders, blocking-window overlap, lost inverses, and
@@ -34,6 +35,11 @@ The pipeline mirrors the paper's development-time analysis phase:
    online enforceability, flags globally blocking actions, and reports
    blast radii via :mod:`repro.core.analysis`.
 
+Stages 3–5 share one :class:`~repro.core.planner.AdaptationPlanner`,
+built once SA2xx has settled which invariants are kept: the safe space
+is enumerated (or point-queried above the cap) once per lint, and the
+lazy reachability searches and path checks share one successor cache.
+
 The AST evaluator remains the semantic source of truth: the hypothesis
 suite in ``tests/lint`` pins every mask-based verdict (unsatisfiable
 invariant, dead action) to brute-force AST enumeration.
@@ -41,15 +47,26 @@ invariant, dead action) to brute-force AST enumeration.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.core.actions import AdaptiveAction, MaskedAction
+from repro.core.actions import ActionLibrary, AdaptiveAction, MaskedAction
 from repro.core.analysis import blast_radius, invariants_at_risk
 from repro.core.invariants import Invariant, InvariantSet
 from repro.core.model import Component, ComponentUniverse, Configuration
-from repro.core.planner import LAZY_PLAN_COMPONENTS
+from repro.core.planner import LAZY_PLAN_COMPONENTS, AdaptationPlanner
 from repro.errors import ActionError, ParseError
 from repro.expr.ast import Expr
 from repro.expr.compile import compile_conjunction
@@ -622,16 +639,13 @@ def _check_actions(
     model: _Model,
     report: LintReport,
     path: Optional[str],
-    max_enum_components: Optional[int] = None,
-    workers: Optional[int] = None,
+    planner: AdaptationPlanner,
+    cap: int,
     fixes_enabled: bool = False,
-) -> Optional[Tuple[List[int], FrozenSet[int]]]:
+) -> Optional[Tuple[Tuple[int, ...], FrozenSet[int]]]:
     """SA3xx.  Returns ``(safe_masks, safe_set)`` when the safe space was
-    enumerated (the SA6xx stage reuses it), ``None`` above the cap or on
-    an empty safe space."""
-    from repro.core.space import SafeConfigurationSpace
-
-    cap = MAX_ENUM_COMPONENTS if max_enum_components is None else max_enum_components
+    enumerated (the SA5xx and SA6xx stages reuse it), ``None`` above the
+    cap or on an empty safe space."""
     universe = model.universe
     # SA303/SA304 need only the action library — they run regardless of
     # universe size, so their findings survive past the enumeration cap.
@@ -655,17 +669,22 @@ def _check_actions(
             model.section_span("components"),
             path,
         )
-        from repro.core.space import LazySafeSpace
-
-        lazy_space = LazySafeSpace(universe, model.kept_invariants())
+        lazy = planner.lazy_sag
         _check_named_pairs(
-            model, report, path, lazy_space, _lazy_reach(model, lazy_space)
+            model,
+            report,
+            path,
+            planner.space,
+            _goal_reach(
+                lambda mask: [arc[2] for arc in lazy.successors(mask)],
+                LAZY_REACH_EXPANSIONS,
+            ),
         )
         return None
-    space = SafeConfigurationSpace(universe, model.kept_invariants(), workers=workers)
+    space = planner.space
     safe_masks = space.enumerate_masks()
     stats = space.last_enumeration_stats
-    if workers is not None and stats is not None:
+    if space.workers is not None and stats is not None:
         # verbose evidence of how the sweep actually ran (the persistent
         # pool makes repeated sweeps over the same spec warm)
         report.skipped.append(
@@ -750,8 +769,16 @@ def _check_actions(
                 break
 
     _check_connectivity(model, report, path, safe_masks, arcs_by_action)
+    adjacency: Dict[int, Set[int]] = {}
+    for arcs in arcs_by_action.values():
+        for src, dst in arcs:
+            adjacency.setdefault(src, set()).add(dst)
     _check_named_pairs(
-        model, report, path, space, _adjacency_reach(arcs_by_action)
+        model,
+        report,
+        path,
+        space,
+        _goal_reach(lambda mask: adjacency.get(mask, ()), None),
     )
     return safe_masks, safe_set
 
@@ -834,32 +861,8 @@ def _check_connectivity(
     )
 
 
-#: ``reachable(start) -> (masks reached, search complete?)``
-Reach = Callable[[int], Tuple[Set[int], bool]]
-
-
-def _adjacency_reach(
-    arcs_by_action: Dict[str, Tuple[Tuple[int, int], ...]],
-) -> Reach:
-    """Exhaustive reachability over the enumerated SAG's arcs."""
-    adjacency: Dict[int, Set[int]] = {}
-    for arcs in arcs_by_action.values():
-        for src, dst in arcs:
-            adjacency.setdefault(src, set()).add(dst)
-
-    def reachable(start: int) -> Tuple[Set[int], bool]:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for nxt in adjacency.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen, True
-
-    return reachable
-
+#: ``reachable(start, goals) -> (masks reached, search complete?)``
+Reach = Callable[[int, FrozenSet[int]], Tuple[Set[int], bool]]
 
 #: node budget for one lazy reachability search above the enumeration
 #: cap; an exhausted search is *inconclusive* (recorded in
@@ -867,28 +870,55 @@ def _adjacency_reach(
 LAZY_REACH_EXPANSIONS = 20_000
 
 
-def _lazy_reach(model: _Model, space) -> Reach:
-    """Budget-bounded reachability over the implicit SAG
-    (:class:`~repro.core.sag.LazySAG`), for universes too large to
-    enumerate."""
-    from repro.core.actions import ActionLibrary
-    from repro.core.sag import LazySAG
+def _goal_reach(
+    next_masks: Callable[[int], Iterable[int]], budget: Optional[int]
+) -> Reach:
+    """Goal-directed reachability over a successor function.
 
-    lazy = LazySAG(space, ActionLibrary(item.action for item in model.actions))
+    Best-first: the frontier node nearest (fewest differing components)
+    to a goal not yet seen is expanded first, ties in insertion order,
+    and the search stops once every goal has been seen.  A stored key
+    goes stale when the goal it was measured against is found; the node
+    is re-keyed against the remaining goals when it is popped.  With a
+    *budget* (expansions per start) an exhausted search reports itself
+    incomplete, so a goal it did not see is inconclusive rather than
+    unreachable.
+    """
 
-    def reachable(start: int) -> Tuple[Set[int], bool]:
+    def reachable(start: int, goals: FrozenSet[int]) -> Tuple[Set[int], bool]:
         seen = {start}
-        frontier = [start]
-        budget = LAZY_REACH_EXPANSIONS
-        while frontier:
-            if budget <= 0:
+        remaining = set(goals) - seen
+        if not remaining:
+            return seen, True
+
+        def distance(mask: int) -> int:
+            return min((mask ^ goal).bit_count() for goal in remaining)
+
+        found = 0  # goals seen so far: a key from an older count is stale
+        order = 0
+        heap = [(distance(start), order, found, start)]
+        spent = 0
+        while heap:
+            key, node_order, stamp, node = heapq.heappop(heap)
+            if stamp != found:
+                fresh = distance(node)
+                if fresh != key:
+                    heapq.heappush(heap, (fresh, node_order, found, node))
+                    continue
+            if budget is not None and spent >= budget:
                 return seen, False
-            budget -= 1
-            node = frontier.pop()
-            for _action_id, _cost, nxt in lazy.successors(node):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
+            spent += 1
+            for nxt in next_masks(node):
+                if nxt in seen:
+                    continue
+                seen.add(nxt)
+                if nxt in remaining:
+                    remaining.discard(nxt)
+                    if not remaining:
+                        return seen, True
+                    found += 1
+                order += 1
+                heapq.heappush(heap, (distance(nxt), order, found, nxt))
         return seen, True
 
     return reachable
@@ -904,11 +934,12 @@ def _check_named_pairs(
     """SA205/SA306 over the named configurations.
 
     Named-configuration safety is a point query against *space*;
-    pairwise reachability asks *reachable*.  Verdicts are tri-state: a
-    search that finds the other endpoint proves reachability, a
-    complete search that does not proves unreachability, and an
-    incomplete one (the lazy search out of budget) proves nothing — the
-    pair is recorded as skipped rather than misreported.
+    pairwise reachability asks *reachable* once per start, with every
+    other endpoint as a goal.  Verdicts are tri-state: a search that
+    finds the other endpoint proves reachability, a complete search that
+    does not proves unreachability, and an incomplete one (the lazy
+    search out of budget) proves nothing — the pair is recorded as
+    skipped rather than misreported.
     """
     universe = model.universe
     invariants = model.kept_invariants()
@@ -930,10 +961,11 @@ def _check_named_pairs(
         endpoints.append((item, mask))
 
     reach_cache: Dict[int, Tuple[Set[int], bool]] = {}
+    endpoint_masks = frozenset(mask for _item, mask in endpoints)
 
     def verdict(start: int, goal: int) -> Optional[bool]:
         if start not in reach_cache:
-            reach_cache[start] = reachable(start)
+            reach_cache[start] = reachable(start, endpoint_masks - {start})
         seen, complete = reach_cache[start]
         if goal in seen:
             return True
@@ -984,7 +1016,9 @@ def _check_properties(
     model: _Model,
     report: LintReport,
     path: Optional[str],
-    max_enum_components: Optional[int] = None,
+    planner: AdaptationPlanner,
+    cap: int,
+    safe_masks: Optional[Sequence[int]],
 ) -> None:
     """Path-quantified property checks over the ``[properties]`` section.
 
@@ -1005,20 +1039,19 @@ def _check_properties(
       an exhausted budget yields **SA504** (a note — inconclusive is
       not a finding).
 
+    *safe_masks* is the SA3xx enumeration (``None`` when it did not
+    run or found the space empty); the path checks run on *planner*,
+    the lint's one planner.
+
     Properties that already fired SA501 are excluded from the path
     checks: every path verdict would restate the same defect.
     """
     if not model.properties:
         return
-    from repro.core.actions import ActionLibrary
-    from repro.core.planner import AdaptationPlanner
-    from repro.core.space import LazySafeSpace, SafeConfigurationSpace
     from repro.ltl.compile import CompiledProperty
     from repro.ltl.paths import DEFAULT_K, verify_paths
 
-    cap = MAX_ENUM_COMPONENTS if max_enum_components is None else max_enum_components
     universe = model.universe
-    invariants = model.kept_invariants()
     bits = universe.atom_bits
     compiled = {
         item.name: CompiledProperty(item.formula, bits)
@@ -1032,10 +1065,7 @@ def _check_properties(
             f"SA501 skipped: {len(universe)} components exceed the "
             f"{cap}-component enumeration cap"
         )
-        space = LazySafeSpace(universe, invariants)
     else:
-        space = SafeConfigurationSpace(universe, invariants)
-        safe_masks = space.enumerate_masks()
         if not safe_masks:
             report.skipped.append("SA5xx skipped: empty safe space")
             return
@@ -1059,16 +1089,11 @@ def _check_properties(
             mask = universe.mask_of(cfg_item.configuration)
         except Exception:
             continue
-        if space.is_safe_mask(mask):
+        if planner.space.is_safe_mask(mask):
             endpoints.append(cfg_item)
 
     if len(endpoints) < 2:
         return
-    planner = AdaptationPlanner(
-        universe,
-        invariants,
-        ActionLibrary(item.action for item in model.actions),
-    )
     for prop in model.properties:
         if prop.name in unsatisfiable:
             continue
@@ -1204,6 +1229,55 @@ def _check_contracts(model: _Model, report: LintReport, path: Optional[str]) -> 
 # -- entry points ---------------------------------------------------------------
 
 
+def _run_semantic_stages(
+    model: _Model,
+    report: LintReport,
+    path: Optional[str],
+    max_enum_components: Optional[int],
+    workers: Optional[int],
+    line_count: int = 0,
+    fixes_enabled: bool = False,
+) -> None:
+    """SA2xx, then SA3xx/SA6xx/SA5xx on one planner, then SA4xx.
+
+    The planner is built once SA2xx has settled which invariants are
+    kept: its space answers SA3xx's enumeration and every point query,
+    its lazy SAG the reachability searches above the cap, and the
+    planner itself SA5xx's path checks — the §4.2 setup (safe set, SAG,
+    paths) derived once per lint.
+    """
+    cap = MAX_ENUM_COMPONENTS if max_enum_components is None else max_enum_components
+    _check_invariants(model, report, path)
+    planner = AdaptationPlanner(
+        model.universe,
+        model.kept_invariants(),
+        ActionLibrary(item.action for item in model.actions),
+        workers=workers,
+    )
+    action_info = _check_actions(
+        model, report, path, planner, cap, fixes_enabled=fixes_enabled
+    )
+    check_interference(
+        model,
+        report,
+        path,
+        action_info,
+        planner.space,
+        cap_exceeded=len(model.universe) > cap,
+        line_count=line_count,
+        fixes_enabled=fixes_enabled,
+    )
+    _check_properties(
+        model,
+        report,
+        path,
+        planner,
+        cap,
+        None if action_info is None else action_info[0],
+    )
+    _check_contracts(model, report, path)
+
+
 def analyze_source(
     source: ManifestSource,
     max_enum_components: Optional[int] = None,
@@ -1220,33 +1294,15 @@ def analyze_source(
     model = _collect(source, report)
     if model is not None:
         path = source.path
-        cap = (
-            MAX_ENUM_COMPONENTS
-            if max_enum_components is None
-            else max_enum_components
-        )
-        _check_invariants(model, report, path)
-        action_info = _check_actions(
+        _run_semantic_stages(
             model,
             report,
             path,
-            max_enum_components=max_enum_components,
-            workers=workers,
-            fixes_enabled=True,
-        )
-        check_interference(
-            model,
-            report,
-            path,
-            action_info,
-            cap_exceeded=len(model.universe) > cap,
+            max_enum_components,
+            workers,
             line_count=source.line_count,
             fixes_enabled=True,
         )
-        _check_properties(
-            model, report, path, max_enum_components=max_enum_components
-        )
-        _check_contracts(model, report, path)
     report.sort()
     return report
 
@@ -1310,29 +1366,6 @@ def analyze_system(
                     path,
                 )
     model.conflicts = list(manifest.conflicts)
-    cap = (
-        MAX_ENUM_COMPONENTS
-        if max_enum_components is None
-        else max_enum_components
-    )
-    _check_invariants(model, report, path)
-    action_info = _check_actions(
-        model,
-        report,
-        path,
-        max_enum_components=max_enum_components,
-        workers=workers,
-    )
-    check_interference(
-        model,
-        report,
-        path,
-        action_info,
-        cap_exceeded=len(model.universe) > cap,
-    )
-    _check_properties(
-        model, report, path, max_enum_components=max_enum_components
-    )
-    _check_contracts(model, report, path)
+    _run_semantic_stages(model, report, path, max_enum_components, workers)
     report.sort()
     return report

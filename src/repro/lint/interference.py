@@ -148,6 +148,7 @@ def check_interference(
     report: LintReport,
     path: Optional[str],
     action_info: Optional[Tuple[Sequence[int], FrozenSet[int]]],
+    space,
     *,
     cap_exceeded: bool = False,
     line_count: int = 0,
@@ -157,7 +158,9 @@ def check_interference(
 
     *action_info* is ``(safe_masks, safe_set)`` from the eager SA3xx
     enumeration, or ``None`` when that stage did not enumerate (empty
-    safe space, or *cap_exceeded* above the component cap).
+    safe space, or *cap_exceeded* above the component cap).  *space* is
+    the lint planner's safe space; the restricted fallback asks it the
+    safety of named configurations and of the masks the races reach.
     """
     items = model.actions
     if len(items) < 2:
@@ -205,9 +208,6 @@ def check_interference(
         return
 
     if restricted_reason:
-        from repro.core.space import LazySafeSpace
-
-        space = LazySafeSpace(universe, model.kept_invariants())
         is_safe = space.is_safe_mask
         candidates: List[int] = []
         for cfg_item in model.configurations:
@@ -241,9 +241,17 @@ def check_interference(
     if not sources or is_safe is None:
         return
 
+    # Per action, the sources it is applicable from (in *sources*
+    # order): a pair can only race from a source in both lists.
+    applicable_from: Dict[str, Tuple[List[int], Set[int]]] = {}
+    for aid, action in masked.items():
+        applicable = [mask for mask in sources if action.is_applicable_mask(mask)]
+        applicable_from[aid] = (applicable, set(applicable))
+
     for index, x_item in enumerate(items):
         mx = masked[x_item.action.action_id]
         inv_x = by_delta.get((x_item.action.adds, x_item.action.removes))
+        x_list, x_set = applicable_from[x_item.action.action_id]
         for y_item in items[index + 1 :]:
             xid = x_item.action.action_id
             yid = y_item.action.action_id
@@ -251,12 +259,13 @@ def check_interference(
                 continue
             my = masked[yid]
             inv_y = by_delta.get((y_item.action.adds, y_item.action.removes))
+            y_list, y_set = applicable_from[yid]
+            if len(x_list) <= len(y_list):
+                shared = [mask for mask in x_list if mask in y_set]
+            else:
+                shared = [mask for mask in y_list if mask in x_set]
             witness = _Witness()
-            for mask in sources:
-                if not (
-                    mx.is_applicable_mask(mask) and my.is_applicable_mask(mask)
-                ):
-                    continue
+            for mask in shared:
                 ok_xy, final_xy, fail_xy = _run_order(mx, my, mask, is_safe)
                 ok_yx, final_yx, fail_yx = _run_order(my, mx, mask, is_safe)
                 if ok_xy and ok_yx:

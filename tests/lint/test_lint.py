@@ -301,6 +301,38 @@ class TestTemporalProperties:
         assert any("SA501 skipped" in reason for reason in report.skipped)
 
 
+class TestOnePlannerPerLint:
+    """SA3xx, SA5xx and SA6xx share one planner: one safe-space sweep."""
+
+    def test_eager_lint_with_properties_enumerates_once(self, monkeypatch):
+        from repro.core.planner import AdaptationPlanner
+        from repro.core.space import SafeConfigurationSpace
+
+        calls = {"planners": 0, "sweeps": 0}
+        init = AdaptationPlanner.__init__
+        sweep = SafeConfigurationSpace.enumerate_backtracking
+
+        def counting_init(self, *args, **kwargs):
+            calls["planners"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_sweep(self):
+            calls["sweeps"] += 1
+            return sweep(self)
+
+        monkeypatch.setattr(AdaptationPlanner, "__init__", counting_init)
+        monkeypatch.setattr(
+            SafeConfigurationSpace, "enumerate_backtracking", counting_sweep
+        )
+        report = lint_text(
+            video_manifest_text()
+            + "\n[properties]\nno_e2 : historically(!E2)\n"
+        )
+        # the property is path-checked (SA502/SA503), not skipped
+        assert {"SA502", "SA503"} & set(report.codes())
+        assert calls == {"planners": 1, "sweeps": 1}
+
+
 class TestPropertyBudget:
     """SA504: lazy path checks that run out of budget are inconclusive."""
 

@@ -8,7 +8,10 @@ point queries and budget-bounded frontier search with tri-state verdicts
 misreported as a diagnostic.
 """
 
-import pytest
+import re
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 import repro.lint.checks as checks_mod
 from repro.lint import lint_text
@@ -140,3 +143,88 @@ def test_lazy_verdicts_match_eager_below_the_cap():
             if d.code in ("SA205", "SA306")
         )
     assert named_pair_codes(eager) == named_pair_codes(lazy)
+
+
+# -- goal-directed reachability -------------------------------------------------
+
+FLEET30 = Path(__file__).parents[2] / "examples" / "fleet30.manifest"
+
+
+def test_fleet30_far_named_configuration_is_conclusive():
+    # baseline -> all-v3 is ten steps through a 3^10 safe space; the
+    # best-first search heads for the goal instead of wandering the space
+    all_v3 = "allv3 = " + ",".join(f"S{g}v3" for g in range(10))
+    text = FLEET30.read_text(encoding="utf-8").replace(
+        "\n[properties]", f"{all_v3}\n\n[properties]", 1
+    )
+    report = lint_text(text)
+    assert not [line for line in report.skipped if "SA306" in line]
+    assert "SA306" not in report.codes()  # rollbacks: every pair both ways
+
+
+@st.composite
+def fleets(draw):
+    """A random fleet of at most 12 components (``one_of`` per service)
+    with random upgrades, optional rollbacks and named configurations
+    that may break the invariants."""
+    widths = draw(st.lists(st.integers(2, 3), min_size=2, max_size=4))
+    lines = ["[components]"]
+    for g, width in enumerate(widths):
+        lines += [f"S{g}v{v} @ node{g}" for v in range(width)]
+    lines += ["", "[invariants]"]
+    for g, width in enumerate(widths):
+        variants = ", ".join(f"S{g}v{v}" for v in range(width))
+        lines.append(f"group{g} : one_of({variants})")
+    lines += ["", "[actions]"]
+    rollbacks = draw(st.booleans())
+    for g, width in enumerate(widths):
+        for v in range(width - 1):
+            if draw(st.booleans()):
+                lines.append(f"U{g}{v} : S{g}v{v} -> S{g}v{v + 1} @ 10")
+            if rollbacks:
+                lines.append(f"R{g}{v} : S{g}v{v + 1} -> S{g}v{v} @ 10")
+    lines += ["", "[configurations]"]
+    count = draw(st.integers(2, 4))
+    for index in range(count):
+        members = []
+        for g, width in enumerate(widths):
+            chosen = draw(
+                st.one_of(
+                    st.integers(0, width - 1).map(lambda v: {v}),
+                    st.sets(st.integers(0, width - 1)),
+                )
+            )
+            members += [f"S{g}v{v}" for v in sorted(chosen)]
+        if not members:
+            members = ["S0v0"]
+        lines.append(f"c{index} = " + ",".join(members))
+    return "\n".join(lines) + "\n"
+
+
+@given(text=fleets())
+@settings(max_examples=60, deadline=None)
+def test_lazy_named_pair_verdicts_match_eager(text):
+    """SA205/SA306 by lazy point queries and goal-directed search equal
+    the verdicts over the enumerated SAG wherever the lazy search is
+    conclusive."""
+    eager = lint_text(text, max_enum_components=12)
+    lazy = lint_text(text, max_enum_components=3)  # force the lazy path
+    assert "SA307" in lazy.codes()
+    inconclusive = [
+        re.findall(r"'([^']*)'", line)[:2]
+        for line in lazy.skipped
+        if line.startswith("SA306 inconclusive")
+    ]
+
+    def verdicts(report):
+        return sorted(
+            (d.code, str(d.severity), d.message)
+            for d in report
+            if d.code in ("SA205", "SA306")
+            and not any(
+                f"'{a}'" in d.message and f"'{b}'" in d.message
+                for a, b in inconclusive
+            )
+        )
+
+    assert verdicts(eager) == verdicts(lazy)

@@ -27,6 +27,26 @@ only_a = 10
 only_b = 01
 """
 
+#: two independent components whose add actions are declared racing: the
+#: conflict pulls them into one collaborative set, which reorders the plan
+CONFLICTED_MANIFEST = """\
+[components]
+A @ p
+B @ q
+
+[actions]
+add_b : +B @ 1
+add_a : +A @ 1
+
+[configurations]
+empty =
+both = A, B
+"""
+CONFLICTS_SECTION = """
+[conflicts]
+add_a add_b
+"""
+
 
 @pytest.fixture
 def video_text():

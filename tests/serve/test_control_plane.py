@@ -24,7 +24,11 @@ from repro.serve import (
     to_json,
     to_wire,
 )
-from tests.serve.conftest import STUCK_MANIFEST
+from tests.serve.conftest import (
+    CONFLICTED_MANIFEST,
+    CONFLICTS_SECTION,
+    STUCK_MANIFEST,
+)
 
 
 def run_cli(*argv):
@@ -174,27 +178,6 @@ class TestPlan:
         )
         assert result.code == "internal"
         assert result.message == "RuntimeError: boom"
-
-
-#: two independent components whose add actions are declared racing: the
-#: conflict pulls them into one collaborative set, which reorders the plan
-CONFLICTED_MANIFEST = """\
-[components]
-A @ p
-B @ q
-
-[actions]
-add_b : +B @ 1
-add_a : +A @ 1
-
-[configurations]
-empty =
-both = A, B
-"""
-CONFLICTS_SECTION = """
-[conflicts]
-add_a add_b
-"""
 
 
 class TestConflicts:

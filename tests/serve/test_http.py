@@ -1,19 +1,26 @@
 """HTTP adapter: round trips, admission control, golden error envelopes."""
 
 import http.client
+import io
 import json
+import re
 import socket
 import threading
 import time
 
 import pytest
 
+from repro.cli import main
 from repro.serve import (
     ControlPlane,
     PlanRequest,
     ServerThread,
 )
-from tests.serve.conftest import STUCK_MANIFEST
+from tests.serve.conftest import (
+    CONFLICTED_MANIFEST,
+    CONFLICTS_SECTION,
+    STUCK_MANIFEST,
+)
 
 
 def request(address, method, path, body=None, headers=None):
@@ -140,6 +147,50 @@ class TestRoundTrips:
         assert status == 200
         assert body["result"]["failed"] is False
         assert body["result"]["summary"]["errors"] == 0
+
+    def test_collaborative_conflicts_plan_matches_cli_bytes(
+        self, server, tmp_path
+    ):
+        # the declared conflict reorders the collaborative plan; the CLI
+        # and the wire must agree on it byte for byte (digests masked)
+        text = CONFLICTED_MANIFEST + CONFLICTS_SECTION
+        manifest_path = tmp_path / "conflicted.manifest"
+        manifest_path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        code = main(
+            ["plan", str(manifest_path), "--from", "empty", "--to", "both",
+             "--method", "collaborative", "--json"],
+            out=out,
+        )
+        assert code == 0
+        digest = register(server, text)
+        conn = http.client.HTTPConnection(*server.address, timeout=30)
+        try:
+            conn.request(
+                "POST", "/v1/plan",
+                body=json.dumps({
+                    "spec": digest, "source": "empty", "target": "both",
+                    "method": "collaborative",
+                }).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            status, wire = response.status, response.read()
+        finally:
+            conn.close()
+        assert status == 200
+
+        def masked(text):
+            return re.sub(r'("digest": ?)"[0-9a-f]+"', r'\1"*"', text)
+
+        cli = masked(out.getvalue())
+        assert json.loads(cli)["result"]["plan"]["steps"][0]["action"] == "add_b"
+        pretty = json.dumps(json.loads(wire), indent=2, sort_keys=True) + "\n"
+        assert masked(pretty) == cli
+        compact = json.dumps(
+            json.loads(cli), separators=(",", ":"), sort_keys=True
+        ).encode("utf-8")
+        assert masked(wire.decode("utf-8")).encode("utf-8") == compact
 
     def test_evict_via_delete(self, server, video_text):
         digest = register(server, video_text)
