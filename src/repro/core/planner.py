@@ -27,7 +27,7 @@ from repro.core.sag import LazySAG, SafeAdaptationGraph
 from repro.core.space import SafeConfigurationSpace
 from repro.errors import NoSafePathError
 from repro.graphs import lazy_astar
-from repro.graphs.csr import ShortestPathTree, k_shortest_paths_csr
+from repro.graphs.csr import ShortestPathTree, k_shortest_paths_csr, yen
 from repro.graphs.dijkstra import Path
 
 
@@ -338,7 +338,8 @@ class AdaptationPlanner:
         Plan 2 is the paper's "second minimum adaptation path" used when a
         step fails and the manager re-routes.  Runs Yen over the CSR view
         (banned-set spur queries, no per-spur graph copies); cached per
-        ``(source, target, k)`` for the same reason as :meth:`plan`.
+        ``(source, target, k)`` for the same reason as :meth:`plan`, in
+        the cache :meth:`lazy_plan_k` shares.
         """
         self._validate_endpoints(source, target)
         key = (source, target, k)
@@ -519,15 +520,13 @@ class AdaptationPlanner:
     ) -> Tuple[List[AdaptationPlan], bool]:
         """Up to *k* minimum-cost plans by frontier search — no SAG (§7).
 
-        Yen's loopless enumeration run entirely over the
-        :class:`~repro.core.sag.LazySAG` successor generator: the
-        candidate loop, banned node/arc sets, dedup key, and
-        ``(cost, insertion order)`` candidate ordering mirror
-        :func:`repro.graphs.csr.k_shortest_paths_csr` exactly, and every
-        spur query is the two-phase exact search of :meth:`lazy_plan` —
-        so the returned plans are **identical (paths, costs, and order)
-        to** :meth:`plan_k` wherever both are defined, without ever
-        enumerating the safe space.
+        :func:`repro.graphs.csr.yen`, the candidate loop of
+        :meth:`plan_k`, run over the :class:`~repro.core.sag.LazySAG`
+        successor generator: every spur query is the two-phase exact
+        search of :meth:`lazy_plan`, so the returned plans are
+        **identical (paths, costs, and order) to** :meth:`plan_k`
+        wherever both are defined, without ever enumerating the safe
+        space.
 
         Returns ``(plans, complete)``: *complete* is ``False`` when the
         shared *max_expansions* budget ran out before the enumeration
@@ -535,78 +534,47 @@ class AdaptationPlanner:
         best ones, there may just be more.  Used by
         :func:`repro.ltl.paths.verify_paths` for budget-bounded
         tri-state verdicts above the enumeration cap.
+
+        Complete answers share :meth:`plan_k`'s ``(source, target, k)``
+        cache in both directions (they are the same answer), so a
+        repeated request runs no search whatever its budget; an
+        exhausted enumeration is never cached.
         """
         self._validate_endpoints(source, target)
         if k <= 0:
             return [], True
-        universe = self.universe
-        source_mask = universe.mask_of(source)
-        target_mask = universe.mask_of(target)
+        key = (source, target, k)
+        cached = self._plan_k_cache.get(key)
+        if cached is not None:
+            return list(cached), True
+        target_mask = self.universe.mask_of(target)
         heuristic = self._mask_heuristic(target_mask)
         remaining = max_expansions
-        first, exhausted, spent = self._lazy_banned_shortest(
-            source_mask, target_mask, frozenset(), frozenset(),
-            heuristic, remaining,
+
+        def spur(mask, banned_nodes, banned_arcs):
+            nonlocal remaining
+            path, exhausted, spent = self._lazy_banned_shortest(
+                mask, target_mask, banned_nodes, banned_arcs,
+                heuristic, remaining,
+            )
+            if remaining is not None:
+                remaining = max(0, remaining - spent)
+            return path, exhausted
+
+        paths, complete = yen(
+            self.universe.mask_of(source), target_mask, k, spur
         )
-        if remaining is not None:
-            remaining = max(0, remaining - spent)
-        if first is None:
-            if not exhausted:
-                self._plan_cache.setdefault((source, target), None)
-            return [], not exhausted
-        found: List[Path] = [first]
-        seen = {(first.nodes, first.labels)}
-        candidates: List[Tuple[float, int, Path]] = []
-        order = 0
-        complete = True
-        while len(found) < k and complete:
-            prev = found[-1]
-            for i in range(len(prev.edges)):
-                spur_mask = prev.nodes[i]
-                root_edges = prev.edges[:i]
-                root_cost = sum(edge.weight for edge in root_edges)
-                banned_arcs = set()
-                for path in found:
-                    if (
-                        path.nodes[: i + 1] == prev.nodes[: i + 1]
-                        and len(path.edges) > i
-                    ):
-                        banned_arcs.add((path.nodes[i], path.edges[i].label))
-                banned_nodes = set(prev.nodes[:i])
-                if spur_mask in banned_nodes or target_mask in banned_nodes:
-                    continue
-                spur, exhausted, spent = self._lazy_banned_shortest(
-                    spur_mask, target_mask, banned_nodes, banned_arcs,
-                    heuristic, remaining,
-                )
-                if remaining is not None:
-                    remaining = max(0, remaining - spent)
-                if spur is None:
-                    if exhausted:
-                        complete = False
-                        break
-                    continue
-                total = Path(
-                    nodes=prev.nodes[:i] + spur.nodes,
-                    edges=root_edges + spur.edges,
-                    cost=root_cost + spur.cost,
-                )
-                key = (total.nodes, total.labels)
-                if key not in seen:
-                    seen.add(key)
-                    candidates.append((total.cost, order, total))
-                    order += 1
-            if not complete or not candidates:
-                break
-            candidates.sort(key=lambda item: (item[0], item[1]))
-            _, _, best = candidates.pop(0)
-            found.append(best)
         plans = [
-            self._plan_from_mask_path(source, target, path) for path in found
+            self._plan_from_mask_path(source, target, path) for path in paths
         ]
-        # write the optimal plan through to the shared pair cache (it is
-        # exact regardless of whether the enumeration finished)
-        self._plan_cache.setdefault((source, target), plans[0])
+        if complete:
+            self._plan_k_cache[key] = tuple(plans)
+        # the optimal plan (or a proven absence of one) is exact whether
+        # or not the enumeration finished: write it through to the pair cache
+        if plans or complete:
+            self._plan_cache.setdefault(
+                (source, target), plans[0] if plans else None
+            )
         return plans, complete
 
     def plan_collaborative(

@@ -92,15 +92,14 @@ class LazySAG:
         """A successor function skipping banned masks and banned arcs.
 
         *banned_nodes* is a set of masks, *banned_arcs* a set of
-        ``(source_mask, action_id)`` pairs — the lazy mirror of the
-        banned node/edge-id sets Yen's spur queries pass to
-        :func:`repro.graphs.csr.k_shortest_paths_csr` (an action id
-        identifies at most one arc out of a given mask, so the pair bans
-        exactly what banning the CSR edge ids with that label does).
-        Filtering preserves the underlying arc order, so a search driven
-        by the view relaxes the surviving edges in the same sequence the
-        eager banned-set Dijkstra does; the per-mask adjacency cache is
-        shared with unfiltered traversals.
+        ``(source_mask, action_id)`` pairs — exactly the sets the shared
+        Yen loop :func:`repro.graphs.csr.yen` hands each spur query.  An
+        action id identifies at most one arc out of a given mask, so the
+        pair bans what the CSR spur bans by converting it to the edge ids
+        with that label.  Filtering preserves the underlying arc order,
+        so a search driven by the view relaxes the surviving edges in the
+        same sequence the eager banned-set Dijkstra does; the per-mask
+        adjacency cache is shared with unfiltered traversals.
         """
         if not banned_nodes and not banned_arcs:
             return self.successors

@@ -6,9 +6,11 @@ paths (Yen, for the failure-handling cascade "try the second minimum
 adaptation path"), and best-first partial exploration (A*, the paper's
 §7 future-work heuristic that avoids materializing the whole SAG).
 
-All algorithms work over a generic :class:`Digraph` with labelled weighted
-edges; nodes may be any hashable value (the planner uses frozensets of
-component names).
+The algorithms work over a generic :class:`Digraph` with labelled weighted
+edges, or over a successor function (``lazy_astar``) or a spur query
+(``csr.yen``) when the graph is implicit; nodes may be any hashable value
+(the eager planner uses :class:`~repro.core.model.Configuration` objects,
+the lazy planner int bitmasks).
 """
 
 from repro.graphs.digraph import Digraph, Edge
@@ -18,7 +20,6 @@ from repro.graphs.astar import astar_path, lazy_astar
 from repro.graphs.csr import (
     CSRGraph,
     ShortestPathTree,
-    bidirectional_shortest_path,
     k_shortest_paths_csr,
 )
 
@@ -33,6 +34,5 @@ __all__ = [
     "lazy_astar",
     "CSRGraph",
     "ShortestPathTree",
-    "bidirectional_shortest_path",
     "k_shortest_paths_csr",
 ]

@@ -4,8 +4,8 @@ A :class:`Digraph` answers one shortest-path query fine, but serving many
 ``(source, target)`` requests against one Safe Adaptation Graph pays dict
 hashing and node interning on every call.  :class:`CSRGraph` compiles a
 *frozen* digraph once into int-indexed compressed-sparse-row arrays —
-``offsets``/``targets``/``weights`` plus a reverse CSR for inbound edges —
-so every search runs on machine scalars and array indexing.
+``offsets``/``targets``/``weights`` over the outbound edges — so every
+search runs on machine scalars and array indexing.
 
 Kernels provided:
 
@@ -17,12 +17,11 @@ Kernels provided:
   *tree* (:class:`ShortestPathTree`); each subsequent ``path_to(target)``
   is O(path length).  This is what makes batched multi-source MAP solving
   amortized: one tree serves every request that shares its source.
-* :func:`bidirectional_shortest_path` — point-to-point search expanding
-  forward and reverse frontiers alternately; settles roughly the union of
-  two half-radius balls instead of one full ball.  Costs match Dijkstra
-  exactly; the concrete path may differ between equal-cost optima.
-* :func:`k_shortest_paths_csr` — Yen's algorithm with per-query edge/node
-  ban sets instead of pruned graph copies; output is identical to
+* :func:`yen` — Yen's k shortest loopless paths over a caller-supplied
+  spur query; the one candidate loop shared by the CSR and the lazy
+  k-best planners.
+* :func:`k_shortest_paths_csr` — :func:`yen` with banned-set Dijkstra
+  spur queries instead of pruned graph copies; output is identical to
   :func:`repro.graphs.yen.k_shortest_paths`.
 
 Optional ``banned_nodes``/``banned_edges`` sets on the Dijkstra kernel
@@ -36,6 +35,7 @@ import heapq
 from array import array
 from typing import (
     AbstractSet,
+    Callable,
     Dict,
     Generic,
     Hashable,
@@ -72,8 +72,6 @@ class CSRGraph(Generic[N, L]):
         "targets",
         "weights",
         "edge_objects",
-        "roffsets",
-        "redges",
         "_label_cache",
     )
 
@@ -92,23 +90,6 @@ class CSRGraph(Generic[N, L]):
         self.targets = targets
         self.weights = weights
         self.edge_objects = edge_objects
-        # reverse CSR: for each node, the ids of its inbound edges
-        n = len(nodes)
-        indegree = array("q", bytes(8 * (n + 1)))
-        for edge_id in range(len(edge_objects)):
-            indegree[targets[edge_id] + 1] += 1
-        roffsets = array("q", indegree)
-        for i in range(1, n + 1):
-            roffsets[i] += roffsets[i - 1]
-        redges = array("q", bytes(8 * len(edge_objects)))
-        cursor = array("q", roffsets[:n])
-        for source_index in range(n):
-            for edge_id in range(offsets[source_index], offsets[source_index + 1]):
-                slot = cursor[targets[edge_id]]
-                redges[slot] = edge_id
-                cursor[targets[edge_id]] += 1
-        self.roffsets = roffsets
-        self.redges = redges
         self._label_cache: Dict[Tuple[int, L], Tuple[int, ...]] = {}
 
     @classmethod
@@ -321,112 +302,6 @@ class ShortestPathTree(Generic[N, L]):
         }
 
 
-def bidirectional_shortest_path(
-    csr: CSRGraph[N, L], source: N, target: N
-) -> Optional[Path[N, L]]:
-    """Point-to-point search meeting in the middle.
-
-    Expands the smaller of the forward frontier (over the CSR) and the
-    reverse frontier (over the reverse CSR) until their radii cover the
-    best known connection.  The returned cost always equals plain
-    Dijkstra's; among equal-cost optima the concrete path is chosen by
-    (cost, total hops) at the meeting node, which may legitimately differ
-    from the forward-search tie-break.
-    """
-    source_index = csr.index_of[source]
-    target_index = csr.index_of[target]
-    if source_index == target_index:
-        return Path(nodes=(source,), edges=(), cost=0.0)
-    n = csr.node_count
-    offsets, targets, weights = csr.offsets, csr.targets, csr.weights
-    roffsets, redges = csr.roffsets, csr.redges
-    edge_source_index = csr.edge_source_index
-
-    dist_f = [_INF] * n
-    dist_b = [_INF] * n
-    hops_f = [0] * n
-    hops_b = [0] * n
-    pred_f = [-1] * n
-    pred_b = [-1] * n
-    settled_f = bytearray(n)
-    settled_b = bytearray(n)
-    dist_f[source_index] = 0.0
-    dist_b[target_index] = 0.0
-    heap_f: list = [(0.0, 0, 0, source_index)]
-    heap_b: list = [(0.0, 0, 0, target_index)]
-    counters = [0, 0]
-    best_cost = _INF
-    best_hops = 0
-    meet = -1
-
-    def consider(node: int) -> None:
-        nonlocal best_cost, best_hops, meet
-        df, db = dist_f[node], dist_b[node]
-        if df == _INF or db == _INF:
-            return
-        total = df + db
-        total_hops = hops_f[node] + hops_b[node]
-        if total < best_cost or (total == best_cost and total_hops < best_hops):
-            best_cost = total
-            best_hops = total_hops
-            meet = node
-
-    while heap_f and heap_b:
-        # The search is complete once the two radii cover the best
-        # connection: no unsettled node can improve on best_cost.
-        if heap_f[0][0] + heap_b[0][0] >= best_cost:
-            break
-        forward = heap_f[0][0] <= heap_b[0][0]
-        heap = heap_f if forward else heap_b
-        settled = settled_f if forward else settled_b
-        dist = dist_f if forward else dist_b
-        hops = hops_f if forward else hops_b
-        pred = pred_f if forward else pred_b
-        cost, nhops, _, index = heapq.heappop(heap)
-        if settled[index]:
-            continue
-        settled[index] = 1
-        consider(index)
-        if forward:
-            edge_range = range(offsets[index], offsets[index + 1])
-        else:
-            edge_range = (
-                redges[slot] for slot in range(roffsets[index], roffsets[index + 1])
-            )
-        for edge_id in edge_range:
-            neighbour = targets[edge_id] if forward else edge_source_index(edge_id)
-            if settled[neighbour]:
-                continue
-            candidate = cost + weights[edge_id]
-            candidate_hops = nhops + 1
-            if candidate < dist[neighbour] or (
-                candidate == dist[neighbour] and candidate_hops < hops[neighbour]
-            ):
-                dist[neighbour] = candidate
-                hops[neighbour] = candidate_hops
-                pred[neighbour] = edge_id
-                side = 0 if forward else 1
-                counters[side] += 1
-                heapq.heappush(
-                    heap, (candidate, candidate_hops, counters[side], neighbour)
-                )
-                consider(neighbour)
-
-    if meet < 0:
-        return None
-    forward_half = reconstruct_path(csr, source_index, meet, dist_f, pred_f)
-    assert forward_half is not None
-    edges = list(forward_half.edges)
-    index = meet
-    while index != target_index:
-        edge_id = pred_b[index]
-        edge = csr.edge_objects[edge_id]
-        edges.append(edge)
-        index = csr.index_of[edge.target]
-    nodes = (csr.nodes[source_index],) + tuple(edge.target for edge in edges)
-    return Path(nodes=nodes, edges=tuple(edges), cost=best_cost)
-
-
 def _banned_shortest_path(
     csr: CSRGraph[N, L],
     source_index: int,
@@ -446,64 +321,101 @@ def _banned_shortest_path(
     return reconstruct_path(csr, source_index, target_index, dist, pred)
 
 
+#: a Yen spur query: ``spur(node, banned_nodes, banned_arcs)`` returns
+#: ``(path, exhausted)`` — the shortest path from *node* to the target
+#: avoiding the banned nodes and the banned ``(node, label)`` arcs (``None``
+#: if there is none), and whether a search budget ran out before it could
+#: tell
+SpurQuery = Callable[
+    [N, AbstractSet[N], AbstractSet[Tuple[N, L]]],
+    Tuple[Optional[Path[N, L]], bool],
+]
+
+
+def yen(
+    source: N, target: N, k: int, spur: SpurQuery
+) -> Tuple[List[Path[N, L]], bool]:
+    """Yen's k shortest loopless paths over any spur-query kernel.
+
+    The one candidate loop behind :func:`k_shortest_paths_csr` and
+    :meth:`AdaptationPlanner.lazy_plan_k
+    <repro.core.planner.AdaptationPlanner.lazy_plan_k>`.  It mirrors
+    :func:`repro.graphs.yen.k_shortest_paths` candidate for candidate:
+    the same banned sets, the same ``(nodes, labels)`` dedup key and the
+    same ``(cost, insertion order)`` candidate order, so any *spur*
+    kernel that returns the reference's shortest path yields the
+    reference's paths, costs and order.  The first path is
+    ``spur(source, ∅, ∅)``.
+
+    Returns ``(paths, complete)``; *complete* is ``False`` when a spur
+    query reported exhaustion.  The paths found by then are still the
+    true best ones, there may just be more.
+    """
+    if k <= 0:
+        return [], True
+    first, exhausted = spur(source, frozenset(), frozenset())
+    if first is None:
+        return [], not exhausted
+    found: List[Path[N, L]] = [first]
+    seen: Set[Tuple] = {(first.nodes, first.labels)}
+    candidates: List[Tuple[float, int, Path[N, L]]] = []
+    order = 0
+    while len(found) < k:
+        prev = found[-1]
+        for i in range(len(prev.edges)):
+            banned_nodes = set(prev.nodes[:i])  # forbid loops through the root
+            if prev.nodes[i] in banned_nodes or target in banned_nodes:
+                continue
+            banned_arcs = {
+                (path.nodes[i], path.edges[i].label)
+                for path in found
+                if path.nodes[: i + 1] == prev.nodes[: i + 1] and len(path.edges) > i
+            }
+            tail, exhausted = spur(prev.nodes[i], banned_nodes, banned_arcs)
+            if exhausted:
+                return found, False
+            if tail is None:
+                continue
+            root_edges = prev.edges[:i]
+            total = Path(
+                nodes=prev.nodes[:i] + tail.nodes,
+                edges=root_edges + tail.edges,
+                cost=sum(edge.weight for edge in root_edges) + tail.cost,
+            )
+            key = (total.nodes, total.labels)
+            if key not in seen:
+                seen.add(key)
+                heapq.heappush(candidates, (total.cost, order, total))
+                order += 1
+        if not candidates:
+            break
+        found.append(heapq.heappop(candidates)[2])
+    return found, True
+
+
 def k_shortest_paths_csr(
     csr: CSRGraph[N, L], source: N, target: N, k: int
 ) -> List[Path[N, L]]:
     """Yen's k shortest loopless paths over the compiled graph.
 
-    Mirrors :func:`repro.graphs.yen.k_shortest_paths` candidate for
-    candidate — spur queries run banned-set Dijkstra on the shared CSR
-    arrays instead of materializing pruned :class:`Digraph` copies, so
-    the output (paths, costs, order) is identical while each spur query
-    skips the full graph copy.
+    :func:`yen` with banned-set Dijkstra spur queries on the shared CSR
+    arrays instead of pruned :class:`Digraph` copies: the output (paths,
+    costs, order) is identical to :func:`repro.graphs.yen.k_shortest_paths`
+    while each spur query skips the full graph copy.
     """
-    if k <= 0:
-        return []
-    source_index = csr.index_of[source]
-    target_index = csr.index_of[target]
-    first = csr.shortest_path(source, target)
-    if first is None:
-        return []
-    found: List[Path[N, L]] = [first]
-    seen: Set[Tuple] = {(first.nodes, first.labels)}
-    candidates: List[Tuple[float, int, Path[N, L]]] = []
-    order = 0
+    index_of = csr.index_of
 
-    while len(found) < k:
-        prev = found[-1]
-        for i in range(len(prev.edges)):
-            spur_index = csr.index_of[prev.nodes[i]]
-            root_edges = prev.edges[:i]
-            root_cost = sum(edge.weight for edge in root_edges)
-            banned_edges: Set[int] = set()
-            for path in found:
-                if path.nodes[: i + 1] == prev.nodes[: i + 1] and len(path.edges) > i:
-                    banned_edges.update(
-                        csr.edges_labelled(
-                            csr.index_of[path.edges[i].source], path.edges[i].label
-                        )
-                    )
-            banned_nodes = {csr.index_of[node] for node in prev.nodes[:i]}
-            if spur_index in banned_nodes or target_index in banned_nodes:
-                continue
-            spur = _banned_shortest_path(
-                csr, spur_index, target_index, banned_nodes, banned_edges
-            )
-            if spur is None:
-                continue
-            total = Path(
-                nodes=prev.nodes[:i] + spur.nodes,
-                edges=root_edges + spur.edges,
-                cost=root_cost + spur.cost,
-            )
-            key = (total.nodes, total.labels)
-            if key not in seen:
-                seen.add(key)
-                candidates.append((total.cost, order, total))
-                order += 1
-        if not candidates:
-            break
-        candidates.sort(key=lambda item: (item[0], item[1]))
-        _, _, best = candidates.pop(0)
-        found.append(best)
-    return found
+    def spur(node, banned_nodes, banned_arcs):
+        banned_edges: Set[int] = set()
+        for arc_source, label in banned_arcs:
+            banned_edges.update(csr.edges_labelled(index_of[arc_source], label))
+        path = _banned_shortest_path(
+            csr,
+            index_of[node],
+            index_of[target],
+            {index_of[banned] for banned in banned_nodes},
+            banned_edges,
+        )
+        return path, False
+
+    return yen(source, target, k, spur)[0]

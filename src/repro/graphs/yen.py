@@ -9,7 +9,7 @@ order on top of the Dijkstra routine.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, List, Set, Tuple, TypeVar
+from typing import Hashable, List, Set, Tuple, TypeVar
 
 from repro.graphs.digraph import Digraph
 from repro.graphs.dijkstra import Path, shortest_path
@@ -82,18 +82,3 @@ def k_shortest_paths(
         found.append(best)
     return found
 
-
-def iter_shortest_paths(
-    graph: Digraph[N, L],
-    source: N,
-    target: N,
-    limit: int = 64,
-) -> Iterator[Path[N, L]]:
-    """Generator over the first *limit* shortest paths (lazy wrapper).
-
-    The failure-handling policy consumes alternates one at a time; this
-    wrapper keeps call sites readable without re-running Yen from scratch
-    per request.
-    """
-    for path in k_shortest_paths(graph, source, target, limit):
-        yield path

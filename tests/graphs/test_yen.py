@@ -3,7 +3,6 @@
 import pytest
 
 from repro.graphs import Digraph, k_shortest_paths
-from repro.graphs.yen import iter_shortest_paths
 
 
 @pytest.fixture
@@ -71,7 +70,3 @@ class TestKShortest:
         g.add_edge("a", "b", "dear", 2.0)
         paths = k_shortest_paths(g, "a", "b", 5)
         assert [p.labels for p in paths] == [("cheap",), ("dear",)]
-
-    def test_iter_wrapper(self, grid):
-        lazy = list(iter_shortest_paths(grid, "a", "f", limit=2))
-        assert [p.cost for p in lazy] == [5.0, 7.0]

@@ -332,6 +332,34 @@ class TestOnePlannerPerLint:
         assert {"SA502", "SA503"} & set(report.codes())
         assert calls == {"planners": 1, "sweeps": 1}
 
+    def test_lazy_lint_enumerates_each_pair_once(self, monkeypatch):
+        """fleet30's 2 properties × 2 directions ask for 2 distinct
+        k-best enumerations; the repeats are k-best cache hits."""
+        from repro.core.planner import AdaptationPlanner
+
+        calls = {"lazy_plan_k": 0}
+        searched_in = set()
+        plan_k = AdaptationPlanner.lazy_plan_k
+        search = AdaptationPlanner._lazy_banned_shortest
+
+        def counting_plan_k(self, *args, **kwargs):
+            calls["lazy_plan_k"] += 1
+            return plan_k(self, *args, **kwargs)
+
+        def counting_search(self, *args):
+            searched_in.add(calls["lazy_plan_k"])
+            return search(self, *args)
+
+        monkeypatch.setattr(AdaptationPlanner, "lazy_plan_k", counting_plan_k)
+        monkeypatch.setattr(
+            AdaptationPlanner, "_lazy_banned_shortest", counting_search
+        )
+        report = lint_path("examples/fleet30.manifest")
+        assert codes_of(report, "SA503")
+        assert calls["lazy_plan_k"] == 4
+        # the lazy_plan_k calls that ran a search
+        assert len(searched_in - {0}) == 2
+
 
 class TestPropertyBudget:
     """SA504: lazy path checks that run out of budget are inconclusive."""
